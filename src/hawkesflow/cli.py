@@ -122,7 +122,21 @@ def _ingest(paths: list[str], scheme: BinningScheme, duration: float | None,
                                        list[list[OrderEvent]]]:
     """Read session files (in parallel when asked) and map them onto
     components.  A metadata sidecar, when present, supplies the session
-    duration and cross-checks the scheme dimension."""
+    duration and cross-checks the scheme dimension.  Without ``duration``,
+    files that share one sidecar are rejected: they would all get its
+    horizon, whatever their own length."""
+    if duration is None:
+        by_sidecar: dict[Path, list[str]] = {}
+        for path in paths:
+            sidecar = Path(path).resolve().with_name("metadata.json")
+            if sidecar.exists():
+                by_sidecar.setdefault(sidecar, []).append(path)
+        for sidecar, shared in by_sidecar.items():
+            if len(shared) > 1:
+                raise HawkesflowError(
+                    f"{', '.join(shared)} share the metadata sidecar "
+                    f"{sidecar}; put each session in its own directory or "
+                    f"give --duration")
 
     def load_one(idx_path):
         idx, path = idx_path

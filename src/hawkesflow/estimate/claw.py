@@ -8,8 +8,13 @@ the number of j-events whose full window fits inside the session, subtract
 the mean intensity.  The pairing of an event with itself never enters: the
 first bin is open at lag zero.
 
-Pair counting is O(edges * (N_i + N_j log N_i)) per component pair via
-sorted-array searches, not O(N^2) pair enumeration.
+Pair counting runs once per session over all components together, merged
+into one time-ordered stream.  Bins up to a crossover lag enumerate their
+pairs directly: one forward window per event, so the cost follows the
+number of pairs that land there.  The remaining, wider bins count pairs as
+differences of prefix sums, with one search per event and edge into the
+merged stream; their cost follows events times bins, however many pairs
+they hold.  The crossover balances the two from the session's event rate.
 """
 
 from __future__ import annotations
@@ -162,27 +167,115 @@ def conditional_law_at_negative_lag(claw: ConditionalLawMatrix, i: int, j: int,
     return float(claw.lam[i] / claw.lam[j] * claw.values[j, i, bin_index])
 
 
-def _session_pair_counts(t_i: np.ndarray, t_j: np.ndarray, duration: float,
-                         edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pair counts per bin and admissible j-event counts for one session."""
+# Pieces of the flat index ranges below are expanded this many elements at
+# a time, which bounds the temporaries of long sessions and dense grids.
+_CHUNK = 1 << 14
+
+
+def _chunks(lengths: np.ndarray):
+    """Walk index ranges of the given lengths laid end to end, ``_CHUNK``
+    elements at a time; yield (range index, offset within the range) of
+    every element of the chunk."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if len(ends) else 0
+    for f0 in range(0, total, _CHUNK):
+        f1 = min(f0 + _CHUNK, total)
+        p0 = int(np.searchsorted(ends, f0, side="right"))
+        p1 = int(np.searchsorted(ends, f1 - 1, side="right")) + 1
+        begin = ends[p0:p1] - lengths[p0:p1]
+        n = np.minimum(ends[p0:p1], f1) - np.maximum(begin, f0)
+        yield (np.repeat(np.arange(p0, p1), n),
+               np.arange(f0, f1) - np.repeat(begin, n))
+
+
+def _near_bins(n_events: int, duration: float, edges: np.ndarray) -> int:
+    """Number of leading bins whose pairs are enumerated one by one.
+
+    Enumerating bins up to edge K visits about n * (n / duration) * e_K
+    pairs; counting each remaining bin by prefix sums costs one search per
+    event, n * (B - K).  K minimises the sum."""
     n_bins = len(edges) - 1
-    pairs = np.zeros(n_bins, dtype=np.int64)
-    adm = np.searchsorted(t_j, duration - edges[1:], side="right").astype(np.int64)
-    if len(t_j) == 0 or len(t_i) == 0:
+    cost = n_events / duration * edges + (n_bins - np.arange(n_bins + 1))
+    return int(np.argmin(cost))
+
+
+def _session_pair_counts(times: tuple[np.ndarray, ...], duration: float,
+                         edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pair counts ``(D, D, B)`` and admissible counts ``(D, B)`` of one
+    session.
+
+    Pair (j-event s, i-event t) lands in bin b when
+    ``s + e_b < t <= s + e_{b+1}`` in floating point and s is admissible,
+    ``s <= duration - e_{b+1}``.  Admissible events of every component form
+    a prefix of the time-ordered stream, so the cut is an index comparison.
+    """
+    d = len(times)
+    n_bins = len(edges) - 1
+    flat = np.concatenate(times)               # component-major
+    offsets = np.concatenate([[0], np.cumsum([len(t) for t in times])])
+    comp = np.repeat(np.arange(d), np.diff(offsets))
+    order = np.argsort(flat, kind="stable")
+    merged, mcomp = flat[order], comp[order]
+    n = len(merged)
+    # cum[p, i]: i-events among merged[:p]; a count of i-events at or below
+    # x is cum[searchsorted(merged, x, "right"), i].  int32 holds any count
+    # of a session that fits in memory and halves the table.
+    cum = np.zeros((n + 1, d), dtype=np.int32)
+    cum[np.arange(1, n + 1), mcomp] = 1
+    np.cumsum(cum, axis=0, out=cum)
+    prefix = np.searchsorted(merged, duration - edges[1:], side="right")
+    adm = cum[prefix].T.astype(np.int64)
+    pairs = np.zeros((d, d, n_bins), dtype=np.int64)
+    if n == 0:
         return pairs, adm
-    # S_m(n): over the first n j-events, total count of i-events at or below
-    # s + edge_m.  pairs[b] = S_{b+1}(adm[b]) - S_b(adm[b]); one search pass
-    # per edge serves as the right side of bin b and the left side of b+1.
-    counts = np.searchsorted(t_i, t_j + edges[0], side="right")
-    left_sum = int(counts[: adm[0]].sum()) if adm[0] > 0 else 0
-    for b in range(n_bins):
-        counts = np.searchsorted(t_i, t_j + edges[b + 1], side="right")
-        n_b = int(adm[b])
-        right_sum = int(counts[:n_b].sum()) if n_b > 0 else 0
-        pairs[b] = right_sum - left_sum
-        if b + 1 < n_bins:
-            n_next = int(adm[b + 1])  # n_next <= n_b: windows shrink
-            left_sum = right_sum - int(counts[n_next:n_b].sum())
+    k = _near_bins(n, duration, edges)
+
+    if k > 0:
+        # every pair with a lag in (e_0, e_k], from one forward window per
+        # event; each bin is fixed by the defining comparisons, since the
+        # float lag t - s can round across an edge
+        lo = np.searchsorted(merged, merged + edges[0], side="right")
+        hi = np.searchsorted(merged, merged + edges[k], side="right")
+        near = np.zeros(d * d * k, dtype=np.int64)
+        for src, off in _chunks(hi - lo):
+            s = merged[src]
+            tgt = lo[src] + off
+            t = merged[tgt]
+            b = np.clip(np.searchsorted(edges[:k + 1], t - s) - 1, 0, k - 1)
+            while (down := t <= s + edges[b]).any():
+                b -= down
+            while (up := t > s + edges[b + 1]).any():
+                b += up
+            keep = src < prefix[b]
+            key = (mcomp[tgt] * d + mcomp[src]) * k + b
+            near += np.bincount(key[keep], minlength=d * d * k)
+        pairs[:, :, :k] = near.reshape(d, d, k)
+
+    if k < n_bins:
+        # S_m(A)[j, i]: over the first A j-events, the count of i-events at
+        # or below s + e_m.  Far bin b holds S_{b+1}(adm_b) - S_b(adm_b), so
+        # edge m needs S_m at A = adm_m (as a left side) and, over the extra
+        # keys up to adm_{m-1}, at A = adm_{m-1} (as a right side).
+        m = np.arange(k, n_bins + 1)
+        adm_ext = np.concatenate([adm, np.zeros((d, 1), np.int64)], axis=1)
+        a_left = adm_ext[:, m].T                      # (edge, j)
+        a_right = adm[:, np.maximum(m - 1, k)].T
+        # key ranges in (edge, j, left | extra) order
+        start = offsets[:-1, None] + np.stack(
+            [np.zeros_like(a_left), a_left], axis=-1)
+        length = np.stack([a_left, a_right - a_left], axis=-1).ravel()
+        start, shift = start.ravel(), np.repeat(edges[m], 2 * d)
+        sums = np.zeros((len(length), d), dtype=np.int64)
+        for piece, off in _chunks(length):
+            keys = flat[start[piece] + off] + shift[piece]
+            below = cum[np.searchsorted(merged, keys, side="right")]
+            first = np.flatnonzero(np.diff(piece, prepend=-1))
+            sums[piece[first]] += np.add.reduceat(below, first, axis=0,
+                                                  dtype=np.int64)
+        sums = sums.reshape(len(m), d, 2, d)
+        left = sums[:, :, 0]
+        right = left + sums[:, :, 1]
+        pairs[:, :, k:] = (right[1:] - left[:-1]).transpose(2, 1, 0)
     return pairs, adm
 
 
@@ -194,7 +287,10 @@ def estimate_conditional_law(stream: MultivariateEventStream,
 
     ``weighting="events"`` pools pair counts across sessions (each session
     weighted by its admissible j-event count); ``weighting="sessions"``
-    averages per-session estimates with equal weight instead.
+    averages per-session estimates with equal weight instead.  With
+    ``workers`` above 1, sessions are counted on that many threads; one
+    session is always counted on a single thread, and the result does not
+    depend on ``workers``.
     """
     if grid is None:
         grid = build_linlog_grid()
@@ -207,29 +303,16 @@ def estimate_conditional_law(stream: MultivariateEventStream,
     widths = grid.widths
     lam = estimate_mean_intensity(stream)
 
-    jobs = [(sess, i, j) for sess in stream.sessions
-            for j in range(d) for i in range(d)]
-
-    def run(job: tuple[Session, int, int]):
-        sess, i, j = job
-        return _session_pair_counts(sess.times[i], sess.times[j],
-                                    sess.duration, grid.edges)
+    def run(sess: Session):
+        return _session_pair_counts(sess.times, sess.duration, grid.edges)
 
     if workers and workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, jobs))
+            per_session = list(pool.map(run, stream.sessions))
     else:
-        results = [run(job) for job in jobs]
-
-    pair_tot = np.zeros((d, d, n_bins), dtype=np.int64)
-    adm_tot = np.zeros((d, n_bins), dtype=np.int64)
-    per_session = {}
-    for job, (pairs, adm) in zip(jobs, results):
-        sess, i, j = job
-        pair_tot[i, j] += pairs
-        if i == 0:
-            adm_tot[j] += adm
-        per_session[(sess.session_id, i, j)] = (pairs, adm)
+        per_session = [run(sess) for sess in stream.sessions]
+    pair_tot = sum(pairs for pairs, _ in per_session)
+    adm_tot = sum(adm for _, adm in per_session)
 
     values = np.zeros((d, d, n_bins))
     stderr = np.zeros((d, d, n_bins))
@@ -246,8 +329,8 @@ def estimate_conditional_law(stream: MultivariateEventStream,
                 acc = np.zeros(n_bins)
                 var = np.zeros(n_bins)
                 n_ok = np.zeros(n_bins, dtype=np.int64)
-                for sess in stream.sessions:
-                    pairs, adm = per_session[(sess.session_id, i, j)]
+                for sess_pairs, sess_adm in per_session:
+                    pairs, adm = sess_pairs[i, j], sess_adm[j]
                     ok = adm > 0
                     denom = widths[ok] * adm[ok]
                     acc[ok] += pairs[ok] / denom

@@ -97,3 +97,46 @@ def direct_negative_lag_counts(t_i: np.ndarray, t_j: np.ndarray,
             adm[b] += 1
             counts[b] += int(np.sum((t_i >= s - b_edge) & (t_i < s - a_edge)))
     return counts, adm
+
+
+def session_pair_counts(t_i: np.ndarray, t_j: np.ndarray, duration: float,
+                        edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pair counts per bin and admissible j-event counts for one session.
+
+    The estimator's former counter, kept as the reference: one sorted-array
+    search over the j-events per bin edge and component pair."""
+    n_bins = len(edges) - 1
+    pairs = np.zeros(n_bins, dtype=np.int64)
+    adm = np.searchsorted(t_j, duration - edges[1:], side="right").astype(np.int64)
+    if len(t_j) == 0 or len(t_i) == 0:
+        return pairs, adm
+    # S_m(n): over the first n j-events, total count of i-events at or below
+    # s + edge_m.  pairs[b] = S_{b+1}(adm[b]) - S_b(adm[b]); one search pass
+    # per edge serves as the right side of bin b and the left side of b+1.
+    counts = np.searchsorted(t_i, t_j + edges[0], side="right")
+    left_sum = int(counts[: adm[0]].sum()) if adm[0] > 0 else 0
+    for b in range(n_bins):
+        counts = np.searchsorted(t_i, t_j + edges[b + 1], side="right")
+        n_b = int(adm[b])
+        right_sum = int(counts[:n_b].sum()) if n_b > 0 else 0
+        pairs[b] = right_sum - left_sum
+        if b + 1 < n_bins:
+            n_next = int(adm[b + 1])  # n_next <= n_b: windows shrink
+            left_sum = right_sum - int(counts[n_next:n_b].sum())
+    return pairs, adm
+
+
+def brute_force_pair_counts(t_i: np.ndarray, t_j: np.ndarray, duration: float,
+                            edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """O(N_i * N_j) pair counting by the definition: pair (s in j, t in i)
+    falls in bin b when s + e_b < t <= s + e_{b+1}, and counts when the
+    j-event's window fits in the session, s <= duration - e_{b+1}."""
+    n_bins = len(edges) - 1
+    pairs = np.zeros(n_bins, dtype=np.int64)
+    adm = np.zeros(n_bins, dtype=np.int64)
+    for s in t_j:
+        ok = s <= duration - edges[1:]
+        inside = (t_i > s + edges[:-1, None]) & (t_i <= s + edges[1:, None])
+        adm += ok
+        pairs += ok * inside.sum(axis=1)
+    return pairs, adm

@@ -174,6 +174,17 @@ class TestConditionalLaw:
                       - by_sessions.values[0, 0][mask])
         assert np.all(diff <= 3 * by_events.stderr[0, 0][mask] + 1e-9)
 
+    def test_session_weighting_ignores_session_ids(self):
+        # files ingested one by one all get the default id "session-0"
+        grid = build_linlog_grid(h_min=0.1, h_max=5.0, n_lin=5, n_log=10)
+        a, b = [1.0, 1.5, 2.0], [5.0, 9.0]
+        same = combine_streams([stream_of([a], 10.0), stream_of([b], 10.0)])
+        distinct = combine_streams([stream_of([a], 10.0, "a"),
+                                    stream_of([b], 10.0, "b")])
+        laws = [estimate_conditional_law(s, grid, weighting="sessions")
+                for s in (same, distinct)]
+        assert np.array_equal(laws[0].values, laws[1].values)
+
     def test_workers_do_not_change_results(self):
         model = HawkesModel.linear([1.0], [[ExponentialKernel(0.3, 10.0)]])
         stream = simulate(model, 1e3, seed=29)

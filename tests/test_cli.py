@@ -201,3 +201,18 @@ class TestDimensionGuard:
                      "--dimension", "1", "--threads", "4",
                      "--out", str(out), "--h-max", "2.0", "--n-log", "80"])
         assert code == 0
+
+    def test_shared_sidecar_without_duration_is_error(self, tmp_path,
+                                                      model_file, capsys):
+        sim = run_simulate(tmp_path, model_file, horizon=500.0)
+        short = sim / "short.csv"
+        lines = (sim / "events.csv").read_text().splitlines(keepends=True)
+        short.write_text("".join(lines[: len(lines) // 2]))
+        args = ["estimate", "--input", str(sim / "events.csv"), str(short),
+                "--dimension", "1", "--h-max", "2.0", "--n-log", "50"]
+        capsys.readouterr()
+        assert main(args + ["--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert "events.csv" in err and "short.csv" in err
+        assert main(args + ["--duration", "500", "--out",
+                            str(tmp_path / "y")]) == 0
