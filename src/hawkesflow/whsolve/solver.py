@@ -13,9 +13,10 @@ time-reversal identity at negative arguments.  This is the convolution
 order the true second-order statistics satisfy (a one-directional 2D model
 keeps its driver component Poisson, forcing that diagonal law to vanish;
 the opposite order would contradict it).  The same dense matrix serves
-every row, so it is factorized once.  Solutions may be negative:
-inhibition is information, not a defect, and no positivity projection is
-applied.
+every row, so it is inverted once; that inverse gives the solution, the
+exact 1-norm condition number and the propagated standard errors.
+Solutions may be negative: inhibition is information, not a defect, and no
+positivity projection is applied.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg as sla
 
 from ..errors import SolverError
 from ..estimate.claw import ConditionalLawMatrix
@@ -50,7 +50,10 @@ CONDITION_LIMIT = 1e12
 @dataclass(frozen=True)
 class KernelEstimate:
     """Kernel matrix on quadrature nodes with norms, baselines and solver
-    diagnostics.  ``values[i, j, m]`` is the (i <- j) kernel at node m."""
+    diagnostics.  ``values[i, j, m]`` is the (i <- j) kernel at node m.
+
+    ``condition_estimate`` is the exact 1-norm condition number
+    ``||A||_1 * ||A^-1||_1`` of the discretized system, not an estimate."""
 
     quad: QuadratureGrid
     values: np.ndarray          # (D, D, Q)
@@ -81,12 +84,20 @@ def kernel_norms(values_or_estimate, quad: QuadratureGrid | None = None) -> np.n
     return values @ weights
 
 
+def _divide_by_rate(x: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """``x / lam`` along the first axis of ``x``, NaN in the rows whose rate
+    is 0: the quantity is undefined for an event-free component."""
+    lam = lam.reshape((-1,) + (1,) * (x.ndim - 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(lam > 0, x / lam, np.nan)
+
+
 def rescaled_norms(norms: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Fraction-of-intensity norms: (lam_j / lam_i) * n_ij."""
     lam = np.asarray(lam, dtype=float)
     if np.any(lam <= 0):
         raise ZeroDivisionError("rescaled norms need strictly positive rates")
-    return norms * lam[None, :] / lam[:, None]
+    return _divide_by_rate(norms * lam[None, :], lam)
 
 
 def recover_baseline(norms: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -104,7 +115,18 @@ def exogeneity_ratios(baseline: np.ndarray, lam: np.ndarray) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
     if np.any(lam <= 0):
         raise ZeroDivisionError("exogeneity ratios need strictly positive rates")
-    return 100.0 * np.asarray(baseline, dtype=float) / lam
+    return _divide_by_rate(100.0 * np.asarray(baseline, dtype=float), lam)
+
+
+def _node_bins(claw: ConditionalLawMatrix, nodes: np.ndarray) -> np.ndarray:
+    """Law bin at each quadrature node, the first bin (right limit) at node
+    0 and -1 past the law's range."""
+    return np.where(nodes == 0, 0, claw.grid.bin_index(nodes))
+
+
+def _padded(arr: np.ndarray) -> np.ndarray:
+    """``arr`` with a trailing zero bin, so that bin -1 reads as 0."""
+    return np.concatenate([arr, np.zeros(arr.shape[:-1] + (1,))], axis=-1)
 
 
 def _assemble_system(claw: ConditionalLawMatrix,
@@ -113,23 +135,41 @@ def _assemble_system(claw: ConditionalLawMatrix,
 
     Row blocks are indexed by (source j, node q), column blocks by the
     unknowns (source k, node m):  A[(j,q),(k,m)] = delta + w_m g[k,j](x_q - x_m).
+    Every block reads the law at the same lags, so their bins are found
+    once.  Lookups follow ``ConditionalLawMatrix.value_at_lag``: negative
+    lags by time reversal, the average of both one-sided first bins at lag
+    zero in A, and the right limit at the first node in b.
     """
     d = claw.dimension
     q = quad.n_nodes
     nodes = quad.nodes
+    lam = claw.lam
+    vals = _padded(claw.values)
     lag = nodes[:, None] - nodes[None, :]
+    neg = lag < 0
+    zer = lag == 0
+    pos_bin = claw.grid.bin_index(lag)    # -1 unless lag > 0
+    neg_bin = claw.grid.bin_index(-lag)   # -1 unless lag < 0
     a = np.zeros((d * q, d * q))
     eye = np.eye(q)
     for j in range(d):
         for k in range(d):
-            block = quad.weights[None, :] * claw.value_at_lag(k, j, lag)
+            g = vals[k, j][pos_bin]
+            right = vals[k, j, 0]
+            # an event-free conditioning component has an identically zero
+            # law, so its reflected contribution is zero rather than 0/0
+            if lam[j] > 0:
+                ratio = lam[k] / lam[j]
+                g = np.where(neg, ratio * vals[j, k][neg_bin], g)
+                g[zer] = 0.5 * (right + ratio * vals[j, k, 0])
+            else:
+                g[zer] = right
+            block = quad.weights[None, :] * g
             if j == k:
                 block = block + eye
             a[j * q:(j + 1) * q, k * q:(k + 1) * q] = block
-    b = np.zeros((d * q, d))
-    for i in range(d):
-        for j in range(d):
-            b[j * q:(j + 1) * q, i] = claw.value_at_lag(i, j, nodes, zero="right")
+    # b[(j, q), i] = g[i, j](x_q)
+    b = vals[:, :, _node_bins(claw, nodes)].transpose(1, 2, 0).reshape(d * q, d)
     return a, b
 
 
@@ -139,8 +179,10 @@ def solve_wiener_hopf(claw: ConditionalLawMatrix,
     """Solve for the kernel matrix on the quadrature grid.
 
     Requires ``quad.x_max <= claw.grid.h_max``.  Aborts with diagnostics
-    instead of returning noise when the discretized system's condition
-    estimate exceeds 1e12.
+    instead of returning noise when the discretized system's exact 1-norm
+    condition number exceeds 1e12 (infinite for an exactly singular
+    system).  The system matrix is inverted whether or not standard errors
+    are asked for: ``compute_stderr=False`` skips only their propagation.
     """
     if quad is None:
         quad = build_quadrature()
@@ -152,55 +194,44 @@ def solve_wiener_hopf(claw: ConditionalLawMatrix,
     q = quad.n_nodes
     a, b = _assemble_system(claw, quad)
 
-    anorm = np.linalg.norm(a, 1)
-    lu, piv = sla.lu_factor(a)
-    gecon = sla.get_lapack_funcs("gecon", (a,))
-    rcond, _ = gecon(lu, anorm)
-    condition = np.inf if rcond == 0 else 1.0 / rcond
-    if condition > CONDITION_LIMIT:
+    try:
+        inv = np.linalg.inv(a)
+        condition = np.linalg.norm(a, 1) * np.linalg.norm(inv, 1)
+    except np.linalg.LinAlgError:
+        condition = np.inf
+    # written so that a NaN condition fails the gate too
+    if not condition <= CONDITION_LIMIT:
         raise SolverError(
-            f"discretized system is ill-conditioned (estimate {condition:.2e})",
+            f"discretized system is ill-conditioned (condition {condition:.2e})",
             diagnostics={"condition_estimate": float(condition),
                          "size": d * q})
 
-    sol = sla.lu_solve((lu, piv), b)
+    sol = inv @ b
     resid = a @ sol - b
     bnorm = np.linalg.norm(b)
     residual = float(np.linalg.norm(resid) / bnorm) if bnorm > 0 else 0.0
 
     # sol[:, i] stacks the row phi[i, k](x_m) over (k, m)
-    values = np.empty((d, d, q))
-    for i in range(d):
-        values[i, :, :] = sol[:, i].reshape(d, q)
+    values = sol.T.reshape(d, d, q)
 
     stderr = None
     if compute_stderr:
-        inv = sla.lu_solve((lu, piv), np.eye(d * q))
-        inv_sq = inv ** 2
-        stderr = np.empty((d, d, q))
-        for i in range(d):
-            var_b = np.concatenate([
-                claw.stderr_at_lag(i, j, quad.nodes) ** 2 for j in range(d)])
-            var = inv_sq @ var_b
-            stderr[i, :, :] = np.sqrt(np.maximum(var, 0.0)).reshape(d, q)
+        # var_b[(j, q), i] = stderr of g[i, j](x_q), squared; lag-0 lookups
+        # take the right limit, as b does
+        errs = _padded(claw.stderr)[:, :, _node_bins(claw, quad.nodes)]
+        var_b = (errs ** 2).transpose(1, 2, 0).reshape(d * q, d)
+        var = (inv ** 2) @ var_b
+        stderr = np.sqrt(np.maximum(var, 0.0)).T.reshape(d, d, q)
 
     norms = values @ quad.weights
-    baseline = recover_baseline(norms, claw.lam)
-    if np.any(claw.lam <= 0):
-        # entries touching an event-free component are undefined, not the
-        # whole matrix
-        lam = claw.lam
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = lam[None, :] / lam[:, None]
-            rescaled = np.where(np.isfinite(ratio), norms * ratio, np.nan)
-            pct = np.where(lam > 0, 100.0 * baseline / lam, np.nan)
-    else:
-        rescaled = rescaled_norms(norms, claw.lam)
-        pct = exogeneity_ratios(baseline, claw.lam)
+    lam = claw.lam
+    baseline = recover_baseline(norms, lam)
     return KernelEstimate(
-        quad=quad, values=values, stderr=stderr, lam=claw.lam.copy(),
-        norms=norms, rescaled=rescaled, baseline=baseline,
-        exogeneity_pct=pct, residual=residual,
+        quad=quad, values=values, stderr=stderr, lam=lam.copy(),
+        norms=norms, rescaled=_divide_by_rate(norms * lam[None, :], lam),
+        baseline=baseline,
+        exogeneity_pct=_divide_by_rate(100.0 * baseline, lam),
+        residual=residual,
         condition_estimate=float(condition),
         meta={"negative_baseline": bool(np.any(baseline < 0))},
     )

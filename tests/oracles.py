@@ -4,12 +4,15 @@ These deliberately avoid the package's estimation and solving code paths:
 the conditional law of a known kernel matrix is obtained by forward
 fixed-point iteration of the defining integral equation on a fine uniform
 grid with FFT convolutions, and small dense solves are written out
-longhand where a test needs a second opinion on the Nystrom system.
+longhand where a test needs a second opinion on the Nystrom system.  The
+solver's former block-by-block assembly and its LU path through
+``scipy.linalg`` serve as references for the numpy-only solve.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg as sla
 from scipy.signal import fftconvolve
 
 
@@ -140,3 +143,52 @@ def brute_force_pair_counts(t_i: np.ndarray, t_j: np.ndarray, duration: float,
         adm += ok
         pairs += ok * inside.sum(axis=1)
     return pairs, adm
+
+
+def assemble_system(claw, quad) -> tuple[np.ndarray, np.ndarray]:
+    """The Nystrom system as the solver formerly built it: one
+    ``value_at_lag`` lookup per block, A[(j,q),(k,m)] = delta +
+    w_m g[k,j](x_q - x_m) and b[(j,q), i] = g[i,j](x_q) (right limit at 0)."""
+    d = claw.dimension
+    q = quad.n_nodes
+    nodes = quad.nodes
+    lag = nodes[:, None] - nodes[None, :]
+    a = np.zeros((d * q, d * q))
+    eye = np.eye(q)
+    for j in range(d):
+        for k in range(d):
+            block = quad.weights[None, :] * claw.value_at_lag(k, j, lag)
+            if j == k:
+                block = block + eye
+            a[j * q:(j + 1) * q, k * q:(k + 1) * q] = block
+    b = np.zeros((d * q, d))
+    for i in range(d):
+        for j in range(d):
+            b[j * q:(j + 1) * q, i] = claw.value_at_lag(i, j, nodes, zero="right")
+    return a, b
+
+
+def lu_reference_solve(claw, quad) -> dict:
+    """The solver's former LU path on the reference assembly: ``lu_factor``,
+    the ``gecon`` condition estimate, ``lu_solve`` for the kernels and for
+    the inverse behind the per-row standard-error propagation.  Returns
+    values, norms, stderr (each (D, D, Q)) and the condition estimate."""
+    d = claw.dimension
+    q = quad.n_nodes
+    a, b = assemble_system(claw, quad)
+    anorm = np.linalg.norm(a, 1)
+    lu, piv = sla.lu_factor(a)
+    gecon = sla.get_lapack_funcs("gecon", (a,))
+    rcond, _ = gecon(lu, anorm)
+    sol = sla.lu_solve((lu, piv), b)
+    values = np.empty((d, d, q))
+    for i in range(d):
+        values[i, :, :] = sol[:, i].reshape(d, q)
+    inv_sq = sla.lu_solve((lu, piv), np.eye(d * q)) ** 2
+    stderr = np.empty((d, d, q))
+    for i in range(d):
+        var_b = np.concatenate([
+            claw.stderr_at_lag(i, j, quad.nodes) ** 2 for j in range(d)])
+        stderr[i, :, :] = np.sqrt(np.maximum(inv_sq @ var_b, 0.0)).reshape(d, q)
+    return {"values": values, "norms": values @ quad.weights, "stderr": stderr,
+            "condition": np.inf if rcond == 0 else 1.0 / rcond}

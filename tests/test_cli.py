@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -216,3 +220,18 @@ class TestDimensionGuard:
         assert "events.csv" in err and "short.csv" in err
         assert main(args + ["--duration", "500", "--out",
                             str(tmp_path / "y")]) == 0
+
+
+class TestColdStart:
+    def test_cli_import_loads_no_scipy(self):
+        # scipy is a test dependency only; an eager import anywhere in the
+        # package would put its ~0.4 s import back on every CLI start
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        code = ("import hawkesflow.cli, sys; "
+                "print(sorted(m for m in sys.modules "
+                "if m == 'scipy' or m.startswith('scipy.')))")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True,
+                             timeout=120)
+        assert out.stdout.strip() == "[]"

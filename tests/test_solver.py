@@ -13,7 +13,13 @@ from hawkesflow.whsolve import (
     solve_wiener_hopf,
     verify_negativity_propagation,
 )
-from oracles import claw_matrix_from_samples, fixed_point_claw
+from hawkesflow.whsolve.solver import _assemble_system
+from oracles import (
+    assemble_system,
+    claw_matrix_from_samples,
+    fixed_point_claw,
+    lu_reference_solve,
+)
 
 
 def exp_kernel_fn(norm, beta):
@@ -22,6 +28,24 @@ def exp_kernel_fn(norm, beta):
 
 def zero_fn(t):
     return np.zeros_like(np.asarray(t, dtype=float))
+
+
+def random_law(seed, lam, h_max=1.0):
+    """Law with random signed values and random standard errors."""
+    rng = np.random.default_rng(seed)
+    lam = np.asarray(lam, dtype=float)
+    d = len(lam)
+    grid = build_linlog_grid(h_min=1e-2, h_max=h_max, n_lin=10, n_log=60)
+    b = grid.n_bins
+    return ConditionalLawMatrix(
+        grid, rng.normal(0.0, 0.3, (d, d, b)), rng.uniform(0.0, 0.1, (d, d, b)),
+        np.zeros((d, d, b), dtype=np.int64), np.ones((d, b), dtype=np.int64),
+        lam, total_time=1.0)
+
+
+def assert_rel_close(actual, expected, rel=1e-12):
+    scale = float(np.max(np.abs(expected)))
+    assert float(np.max(np.abs(actual - expected))) <= rel * scale
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +109,16 @@ class TestSolve:
             solve_wiener_hopf(claw, build_quadrature())
         assert "condition" in str(err.value)
 
+    def test_exactly_singular_matrix_reports_infinite_condition(
+            self, oracle_1d, monkeypatch):
+        from hawkesflow.whsolve import solver
+        n = build_quadrature().n_nodes
+        monkeypatch.setattr(solver, "_assemble_system",
+                            lambda claw, quad: (np.zeros((n, n)), np.ones((n, 1))))
+        with pytest.raises(SolverError) as err:
+            solve_wiener_hopf(oracle_1d, build_quadrature())
+        assert err.value.diagnostics["condition_estimate"] == np.inf
+
     def test_stderr_propagation_shapes_and_positivity(self, oracle_1d):
         est = solve_wiener_hopf(oracle_1d, build_quadrature())
         assert est.stderr is not None
@@ -94,6 +128,40 @@ class TestSolve:
                                    compute_stderr=False)
         assert no_std.stderr is None
         assert np.array_equal(no_std.values, est.values)
+
+
+class TestAssembly:
+    @pytest.mark.parametrize("lam,h_max", [
+        ([1.5], 1.0),
+        ([1.0, 2.5], 1.0),
+        ([0.8, 1.9, 3.1, 0.4], 1.0),
+        ([1.3, 0.0, 0.7], 1.0),       # event-free component
+        ([1.0, 2.5], 0.5),            # x_max == h_max
+    ], ids=["d1", "d2", "d4", "event-free", "x_max-at-h_max"])
+    def test_bit_identical_to_blockwise_assembly(self, lam, h_max):
+        claw = random_law(len(lam), lam, h_max)
+        quad = build_quadrature()
+        assert quad.nodes[0] == 0.0
+        assert quad.x_max <= claw.grid.h_max
+        a, b = _assemble_system(claw, quad)
+        a_ref, b_ref = assemble_system(claw, quad)
+        assert np.array_equal(a, a_ref)
+        assert np.array_equal(b, b_ref)
+
+
+class TestLUReference:
+    @pytest.mark.parametrize("law", ["oracle_1d", "random_3d"])
+    def test_matches_lu_path(self, law, oracle_1d):
+        claw = oracle_1d if law == "oracle_1d" else random_law(3, [0.9, 1.6, 2.2])
+        quad = build_quadrature()
+        est = solve_wiener_hopf(claw, quad)
+        ref = lu_reference_solve(claw, quad)
+        assert_rel_close(est.values, ref["values"])
+        assert_rel_close(est.norms, ref["norms"])
+        assert_rel_close(est.stderr, ref["stderr"])
+        a, _ = assemble_system(claw, quad)
+        assert est.condition_estimate == pytest.approx(np.linalg.cond(a, 1),
+                                                       rel=1e-12)
 
 
 class TestDerivedQuantities:
@@ -123,6 +191,36 @@ class TestDerivedQuantities:
         assert resc[1, 0] == pytest.approx(0.1)   # (lam_1/lam_2) * 0.2
         with pytest.raises(ZeroDivisionError):
             rescaled_norms(norms, [1.0, 0.0])
+
+    def test_positive_rates_keep_arithmetic_order(self):
+        rng = np.random.default_rng(4)
+        norms = rng.normal(0.0, 0.3, (3, 3))
+        lam = rng.uniform(0.1, 5.0, 3)
+        baseline = rng.normal(1.0, 0.5, 3)
+        assert np.array_equal(rescaled_norms(norms, lam),
+                              norms * lam[None, :] / lam[:, None])
+        assert np.array_equal(exogeneity_ratios(baseline, lam),
+                              100.0 * baseline / lam)
+
+    def test_event_free_component_gives_nan_rows(self):
+        claw = random_law(5, [1.3, 0.0, 0.7])
+        est = solve_wiener_hopf(claw, build_quadrature())
+        lam = est.lam
+        assert np.isnan(est.rescaled[1]).all()
+        assert np.isnan(est.exogeneity_pct[1])
+        live = [0, 2]
+        assert np.isfinite(est.rescaled[live]).all()
+        assert np.array_equal(est.rescaled[live],
+                              est.norms[live] * lam[None, :] / lam[live, None])
+        assert np.array_equal(est.exogeneity_pct[live],
+                              100.0 * est.baseline[live] / lam[live])
+        # with every rate positive the solve agrees with the public versions
+        positive = solve_wiener_hopf(random_law(5, [1.3, 0.2, 0.7]),
+                                     build_quadrature())
+        assert np.array_equal(positive.rescaled,
+                              rescaled_norms(positive.norms, positive.lam))
+        assert np.array_equal(positive.exogeneity_pct,
+                              exogeneity_ratios(positive.baseline, positive.lam))
 
     def test_recover_baseline(self):
         assert np.allclose(recover_baseline(np.zeros((2, 2)), [1.0, 2.0]),
