@@ -21,7 +21,6 @@ from .simulate import (
     ZeroKernel,
     mean_intensity,
     simulate,
-    simulate_factorized,
 )
 from .whsolve import (
     build_quadrature,
@@ -190,7 +189,7 @@ class AcceptanceSuite:
         model = HawkesModel.factorized(
             baseline_total=1.0, base_kernel=ExponentialKernel(0.4, 10.0),
             mark_values=[1.0, 2.0], mark_probs=[0.5, 0.5])
-        stream = simulate_factorized(model, 1.5e5, seed=SEED_FACTORIZED)
+        stream = simulate(model, 1.5e5, seed=SEED_FACTORIZED)
         grid = build_linlog_grid(h_min=1e-3, h_max=5.0, n_lin=50, n_log=300)
         claw = estimate_conditional_law(stream, grid, workers=self.workers)
         est = solve_wiener_hopf(claw, build_quadrature())
@@ -273,6 +272,7 @@ class AcceptanceSuite:
         c.expect("runs with a negative solved kernel value", float(found),
                  20.0, None)
         runtime = time.perf_counter() - t0
+        c.expect("runtime seconds", runtime, None, 300.0)
         return CriterionResult(5, "inhibition propagation suite", c.ok,
                                c.lines, runtime)
 

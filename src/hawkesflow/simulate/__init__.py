@@ -17,12 +17,11 @@ from .model import (
     save_model,
     spectral_radius,
 )
-from .thinning import simulate, simulate_factorized
+from .thinning import simulate
 
 __all__ = [
     "ExponentialKernel", "KernelSpec", "PowerLawKernel",
     "SumOfExponentialsKernel", "TabulatedKernel", "ZeroKernel",
     "kernel_from_dict", "HawkesModel", "ModelFlavor", "load_model",
     "mean_intensity", "save_model", "spectral_radius", "simulate",
-    "simulate_factorized",
 ]

@@ -85,6 +85,8 @@ class HawkesModel:
         d = self.dimension
         if self.baseline.shape != (d,):
             raise ValueError("baseline must have one rate per component")
+        if not np.all(np.isfinite(self.baseline)):
+            raise ValueError(f"baseline rates must be finite, got {self.baseline}")
         if np.any(self.baseline < 0):
             raise ValueError("baseline rates must be nonnegative")
         if len(self.kernels) != d or any(len(row) != d for row in self.kernels):

@@ -1,11 +1,27 @@
 """Exact simulation of Hawkes streams by Ogata-style thinning.
 
+One loop simulates every model.  Each kernel adds to its target's
+intensity in one of two ways, and both kinds mix freely in one model:
+
+* an exponential-family kernel adds one state per exponential term, the
+  sum of ``alpha * beta * exp(-beta * lag)`` over past source events,
+  kept by the exact O(1) recursion: decay between candidates, a jump of
+  ``alpha * beta`` when the source fires;
+* any other kernel adds its values summed over the source's recent
+  events, those within ``support(KERNEL_TRUNCATION_EPS)``, so a past event
+  is dropped once the kernel stays below 1e-8 per second.  Each source's
+  history is searched once per evaluation and its lags serve every target.
+
 The dominating rate is refreshed after every candidate, accepted or not:
-each past contribution is bounded by its maximum over the remaining
-support, which for decaying terms is just its current value and for
-inhibitory terms is zero.  Exponential-family kernels use the exact O(1)
-state recursion; other kernels fall back to a windowed history sum with
-contributions dropped once the kernel falls below 1e-8 per second.
+the baseline, plus the positive part of each exponential state (a
+decaying term's current value bounds its future; an inhibitory one is
+bounded by zero), plus each windowed kernel's ``upper_bound_from_vec``
+over its lags.  A candidate draws one exponential gap, then one uniform;
+the uniform picks the component by walking the cumulative intensity,
+which is clipped at zero.  ``clipping_frequency`` is the share of
+candidates with any negative intensity, which only inhibitory kernels
+produce.  A factorized model is simulated as the D x D kernel matrix it
+derives, which has the same law: ``(p_i * lambda_g)^+ = p_i * lambda_g^+``.
 
 Every run discards a stationarity burn-in of ``max(100 / min positive
 baseline, 10 s)`` (capped at 1000 s) before the reported session starts.
@@ -14,45 +30,64 @@ baseline, 10 s)`` (capped at 1000 s) before the reported session starts.
 from __future__ import annotations
 
 import math
+from functools import partial
+from itertools import chain
 
 import numpy as np
 
 from ..errors import StabilityError
 from ..events.types import MultivariateEventStream, Session
-from .model import HawkesModel, ModelFlavor
+from .model import HawkesModel
 
-__all__ = ["simulate", "simulate_factorized"]
+__all__ = ["simulate"]
 
 KERNEL_TRUNCATION_EPS = 1e-8
 BURN_IN_CAP = 1000.0
 
 
 class _BlockRng:
-    """Counter-based generator with block-cached draws for tight loops."""
+    """Counter-based generator handing out Python floats from cached blocks.
+
+    ``exponential()`` and ``uniform()`` each draw a block of ``block``
+    values from the shared Philox stream when their previous block runs out.
+    """
 
     def __init__(self, seed: int, block: int = 1 << 15):
-        self.gen = np.random.Generator(np.random.Philox(seed))
-        self.block = block
-        self._exp = np.empty(0)
-        self._uni = np.empty(0)
-        self._ei = 0
-        self._ui = 0
+        gen = np.random.Generator(np.random.Philox(seed))
+        self.exponential = _draws(gen.standard_exponential, block)
+        self.uniform = _draws(gen.random, block)
 
-    def exponential(self) -> float:
-        if self._ei >= len(self._exp):
-            self._exp = self.gen.standard_exponential(self.block)
-            self._ei = 0
-        v = self._exp[self._ei]
-        self._ei += 1
-        return v
 
-    def uniform(self) -> float:
-        if self._ui >= len(self._uni):
-            self._uni = self.gen.random(self.block)
-            self._ui = 0
-        v = self._uni[self._ui]
-        self._ui += 1
-        return v
+def _draws(draw, block: int):
+    floats = chain.from_iterable(iter(lambda: draw(block).tolist(), None))
+    return partial(next, floats)
+
+
+class _History:
+    """Recent events of one source, for the kernels it feeds by windowed sums."""
+
+    def __init__(self, kernels: list):
+        self.kernels = kernels  # (target, kernel) pairs
+        self.window = max(k.support(KERNEL_TRUNCATION_EPS) for _, k in kernels)
+        self.times = np.empty(1024)
+        self.left = 0
+        self.n = 0
+
+    def lags(self, at: float) -> np.ndarray:
+        """Lags from ``at`` back to the events still inside the window."""
+        lags = at - self.times[self.left:self.n]
+        old = int(np.count_nonzero(lags > self.window))
+        self.left += old
+        return lags[old:]
+
+    def push(self, t: float) -> None:
+        if self.n == len(self.times):
+            live = self.times[self.left:self.n]
+            self.times = np.empty(max(2 * len(live), 1024))
+            self.times[:len(live)] = live
+            self.left, self.n = 0, len(live)
+        self.times[self.n] = t
+        self.n += 1
 
 
 def _burn_in(baseline: np.ndarray) -> float:
@@ -74,187 +109,101 @@ def _finalize(times_per_comp: list[list[float]], dimension: int, horizon: float,
     return MultivariateEventStream(dimension, (session,))
 
 
-def _simulate_exponential(model: HawkesModel, total_time: float,
-                          rng: _BlockRng) -> tuple[list[list[float]], int, int]:
-    """State-recursion thinning for exponential-family kernel matrices."""
+def _thin(model: HawkesModel, total_time: float,
+          rng: _BlockRng) -> tuple[list[list[float]], int, int]:
+    """Thinning on ``[0, total_time]``: event times per component, the
+    number of candidates and the number of candidates with clipping."""
     d = model.dimension
-    jumps, betas, tgt, src = [], [], [], []
-    for i in range(d):
-        for j in range(d):
-            for alpha, beta in model.kernels[i][j].exp_terms():
-                if alpha == 0.0:
-                    continue
-                jumps.append(alpha * beta)
-                betas.append(beta)
-                tgt.append(i)
-                src.append(j)
-    jumps = np.asarray(jumps)
-    betas = np.asarray(betas)
-    tgt = np.asarray(tgt, dtype=np.intp)
-    src = np.asarray(src, dtype=np.intp)
-    src_terms = [np.nonzero(src == j)[0] for j in range(d)]
+    jumps, betas, targets = [], [], []
+    src_terms = [[] for _ in range(d)]  # exponential terms each source feeds
+    src_windowed = [[] for _ in range(d)]
+    for i, row in enumerate(model.kernels):
+        for j, kernel in enumerate(row):
+            if not kernel.is_exponential_family():
+                src_windowed[j].append((i, kernel))
+                continue
+            for alpha, beta in kernel.exp_terms():
+                if alpha != 0.0:
+                    src_terms[j].append(len(jumps))
+                    jumps.append(alpha * beta)
+                    betas.append(beta)
+                    targets.append(i)
+    history = [_History(ks) if ks else None for ks in src_windowed]
+    histories = [h for h in history if h is not None]
+    # A term keeps the sign of its jump, so the positive states are those of
+    # the excitatory terms; an event of source j raises their sum by rises[j].
+    rises = [sum(jumps[k] for k in ks if jumps[k] > 0.0) for ks in src_terms]
 
-    mu = model.baseline
-    mu_sum = float(mu.sum())
-    clip = model.flavor is ModelFlavor.POSITIVE_PART
-
+    mu = model.baseline.tolist()
+    mu_sum = float(model.baseline.sum())
+    exp = math.exp
+    gap, uniform = rng.exponential, rng.uniform
     times: list[list[float]] = [[] for _ in range(d)]
-    state = np.zeros(len(jumps))
+    state = [0.0] * len(jumps)
+    excess = 0.0  # sum of the positive states, which bounds their future
     t = 0.0
     candidates = 0
     clipped = 0
     while True:
-        bound = mu_sum + float(np.clip(state, 0.0, None).sum())
+        bound = mu_sum + excess
+        for h in histories:
+            lags = h.lags(t)
+            if len(lags):
+                for _, kernel in h.kernels:
+                    bound += float(np.sum(kernel.upper_bound_from_vec(lags)))
         if bound <= 0.0:
             break
-        t_new = t + rng.exponential() / bound
+        t_new = t + gap() / bound
         if t_new > total_time:
             break
-        state *= np.exp(-betas * (t_new - t))
+        dt = t_new - t
         t = t_new
         candidates += 1
         lam = mu.copy()
-        np.add.at(lam, tgt, state)
-        if clip:
-            if np.any(lam < 0.0):
-                clipped += 1
-                lam = np.clip(lam, 0.0, None)
-        total = float(lam.sum())
-        u = rng.uniform() * bound
-        if u < total:
-            comp = int(np.searchsorted(np.cumsum(lam), u, side="right"))
-            comp = min(comp, d - 1)
-            times[comp].append(t)
-            idx = src_terms[comp]
-            state[idx] += jumps[idx]
-    return times, candidates, clipped
-
-
-def _simulate_exp_1d(mu: float, jump: float, beta: float, total_time: float,
-                     rng: _BlockRng, clip: bool) -> tuple[list[float], int, int]:
-    """Scalar loop for the 1-component single-exponential case."""
-    times: list[float] = []
-    s = 0.0
-    t = 0.0
-    candidates = 0
-    clipped = 0
-    exp = math.exp
-    while True:
-        bound = mu + (s if s > 0.0 else 0.0)
-        if bound <= 0.0:
-            break
-        t_new = t + rng.exponential() / bound
-        if t_new > total_time:
-            break
-        s *= exp(-beta * (t_new - t))
-        t = t_new
-        candidates += 1
-        lam = mu + s
-        if lam < 0.0:
+        excess = 0.0
+        for k, b in enumerate(betas):
+            s = state[k] * exp(-b * dt)
+            state[k] = s
+            lam[targets[k]] += s
+            if s > 0.0:
+                excess += s
+        for h in histories:
+            lags = h.lags(t)
+            if len(lags):
+                for i, kernel in h.kernels:
+                    lam[i] += float(np.sum(kernel.value(lags)))
+        if min(lam) < 0.0:
             clipped += 1
-            lam = 0.0 if clip else lam
-        if rng.uniform() * bound < lam:
-            times.append(t)
-            s += jump
-    return times, candidates, clipped
-
-
-def _simulate_generic(model: HawkesModel, total_time: float,
-                      rng: _BlockRng) -> tuple[list[list[float]], int, int]:
-    """Windowed-history thinning for arbitrary kernel matrices."""
-    d = model.dimension
-    kernels = model.kernels
-    support = np.zeros((d, d))
-    for i in range(d):
-        for j in range(d):
-            support[i, j] = kernels[i][j].support(KERNEL_TRUNCATION_EPS)
-    window = support.max(axis=0)  # per source component
-
-    mu = model.baseline
-    clipflavor = model.flavor is ModelFlavor.POSITIVE_PART
-    times: list[list[float]] = [[] for _ in range(d)]
-    hist: list[list[float]] = [[] for _ in range(d)]
-    left = [0] * d
-
-    def contributions(at: float, bounding: bool) -> np.ndarray:
-        lam = mu.astype(float).copy()
-        for j in range(d):
-            while left[j] < len(hist[j]) and at - hist[j][left[j]] > window[j]:
-                left[j] += 1
-            recent = np.asarray(hist[j][left[j]:])
-            if len(recent) == 0:
-                continue
-            lags = at - recent
-            for i in range(d):
-                k = kernels[i][j]
-                if bounding:
-                    lam[i] += float(np.sum(k.upper_bound_from_vec(lags)))
-                else:
-                    lam[i] += float(np.sum(k.value(lags)))
-        return lam
-
-    t = 0.0
-    candidates = 0
-    clipped = 0
-    while True:
-        bound = float(np.clip(contributions(t, bounding=True), 0.0, None).sum())
-        if bound <= 0.0:
-            break
-        t_new = t + rng.exponential() / bound
-        if t_new > total_time:
-            break
-        t = t_new
-        candidates += 1
-        lam = contributions(t, bounding=False)
-        if np.any(lam < 0.0):
-            clipped += 1
-            if clipflavor:
-                lam = np.clip(lam, 0.0, None)
-        lam = np.clip(lam, 0.0, None)
-        total = float(lam.sum())
-        u = rng.uniform() * bound
-        if u < total:
-            comp = int(np.searchsorted(np.cumsum(lam), u, side="right"))
-            comp = min(comp, d - 1)
-            times[comp].append(t)
-            hist[comp].append(t)
+            lam = [v if v > 0.0 else 0.0 for v in lam]
+        u = uniform() * bound
+        cumulative = 0.0
+        for comp, v in enumerate(lam):
+            cumulative += v
+            if u < cumulative:
+                times[comp].append(t)
+                for k in src_terms[comp]:
+                    state[k] += jumps[k]
+                excess += rises[comp]
+                if history[comp] is not None:
+                    history[comp].push(t)
+                break
     return times, candidates, clipped
 
 
 def simulate(model: HawkesModel, horizon: float, seed: int) -> MultivariateEventStream:
     """Simulate one session of length ``horizon`` seconds.
 
-    Works for linear and positive-part models; factorized models are
-    routed through :func:`simulate_factorized`.  Deterministic given
-    ``(model, horizon, seed)``.
+    Works for every flavor; a factorized model runs as its derived kernel
+    matrix.  Deterministic given ``(model, horizon, seed)``.
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    if model.flavor is ModelFlavor.FACTORIZED:
-        return simulate_factorized(model, horizon, seed)
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError(f"horizon must be finite and positive, got {horizon}")
     radius = model.branching_radius()
     if radius >= 1.0:
         raise StabilityError(f"unstable model: branching radius {radius:.4f} >= 1")
 
-    rng = _BlockRng(seed)
     burn = _burn_in(model.baseline)
-    total_time = horizon + burn
-
-    all_exp = all(k.is_exponential_family() for row in model.kernels for k in row)
-    clip = model.flavor is ModelFlavor.POSITIVE_PART
-    if all_exp:
-        terms = [k.exp_terms() for row in model.kernels for k in row]
-        if model.dimension == 1 and len(terms[0]) <= 1:
-            pair = terms[0][0] if terms[0] else (0.0, 1.0)
-            t1, candidates, clipped = _simulate_exp_1d(
-                float(model.baseline[0]), pair[0] * pair[1], pair[1],
-                total_time, rng, clip)
-            times = [t1]
-        else:
-            times, candidates, clipped = _simulate_exponential(model, total_time, rng)
-    else:
-        times, candidates, clipped = _simulate_generic(model, total_time, rng)
-
+    times, candidates, clipped = _thin(model, horizon + burn, _BlockRng(seed))
     meta = {
         "seed": seed,
         "horizon": horizon,
@@ -266,99 +215,3 @@ def simulate(model: HawkesModel, horizon: float, seed: int) -> MultivariateEvent
         "clipping_frequency": clipped / candidates if candidates else 0.0,
     }
     return _finalize(times, model.dimension, horizon, burn, meta)
-
-
-def simulate_factorized(model: HawkesModel, horizon: float,
-                        seed: int) -> MultivariateEventStream:
-    """Simulate the factorized-mark model: one ground process whose kernel
-    contribution from each past event is scaled by the mark function, with
-    marks drawn i.i.d. and events routed to components by mark bin."""
-    if model.flavor is not ModelFlavor.FACTORIZED:
-        raise ValueError("model flavor must be factorized")
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    radius = model.branching_radius()
-    if radius >= 1.0:
-        raise StabilityError(f"unstable model: branching radius {radius:.4f} >= 1")
-
-    rng = _BlockRng(seed)
-    burn = _burn_in(model.baseline)
-    total_time = horizon + burn
-    d = model.dimension
-    mu = float(model.baseline_total)
-    f = model.mark_values
-    p_cum = np.cumsum(model.mark_probs)
-    base = model.base_kernel
-
-    times: list[list[float]] = [[] for _ in range(d)]
-    candidates = 0
-    clipped = 0
-    if base.is_exponential_family():
-        terms = base.exp_terms()
-        jumps = np.array([a * b for a, b in terms])
-        betas = np.array([b for _, b in terms])
-        state = np.zeros(len(terms))
-        t = 0.0
-        while True:
-            bound = mu + float(np.clip(state, 0.0, None).sum())
-            if bound <= 0.0:
-                break
-            t_new = t + rng.exponential() / bound
-            if t_new > total_time:
-                break
-            state *= np.exp(-betas * (t_new - t))
-            t = t_new
-            candidates += 1
-            lam = mu + float(state.sum())
-            if lam < 0.0:
-                clipped += 1
-                lam = 0.0
-            if rng.uniform() * bound < lam:
-                mark = int(np.searchsorted(p_cum, rng.uniform(), side="right"))
-                mark = min(mark, d - 1)
-                times[mark].append(t)
-                state += f[mark] * jumps
-    else:
-        hist_t: list[float] = []
-        hist_w: list[float] = []
-        window = base.support(KERNEL_TRUNCATION_EPS)
-        left = 0
-        t = 0.0
-        while True:
-            while left < len(hist_t) and t - hist_t[left] > window:
-                left += 1
-            recent_t = np.asarray(hist_t[left:])
-            recent_w = np.asarray(hist_w[left:])
-            bound = mu + float(np.sum(
-                recent_w * base.upper_bound_from_vec(t - recent_t)
-            )) if len(recent_t) else mu
-            if bound <= 0.0:
-                break
-            t_new = t + rng.exponential() / bound
-            if t_new > total_time:
-                break
-            t = t_new
-            candidates += 1
-            lags = t - recent_t
-            lam = mu + float(np.sum(recent_w * base.value(lags))) if len(recent_t) else mu
-            if lam < 0.0:
-                clipped += 1
-                lam = 0.0
-            if rng.uniform() * bound < lam:
-                mark = int(np.searchsorted(p_cum, rng.uniform(), side="right"))
-                mark = min(mark, d - 1)
-                times[mark].append(t)
-                hist_t.append(t)
-                hist_w.append(float(f[mark]))
-
-    meta = {
-        "seed": seed,
-        "horizon": horizon,
-        "burn_in": burn,
-        "model_hash": model.content_hash(),
-        "flavor": model.flavor.value,
-        "rng": "philox",
-        "candidates": candidates,
-        "clipping_frequency": clipped / candidates if candidates else 0.0,
-    }
-    return _finalize(times, d, horizon, burn, meta)

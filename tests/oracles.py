@@ -6,14 +6,22 @@ fixed-point iteration of the defining integral equation on a fine uniform
 grid with FFT convolutions, and small dense solves are written out
 longhand where a test needs a second opinion on the Nystrom system.  The
 solver's former block-by-block assembly and its LU path through
-``scipy.linalg`` serve as references for the numpy-only solve.
+``scipy.linalg`` serve as references for the numpy-only solve.  The
+simulator's former exponential-state and windowed-history thinning loops
+serve as references for its single loop, and compensator increments give
+the time-rescaling check of simulated streams.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.linalg as sla
 from scipy.signal import fftconvolve
+
+from hawkesflow.simulate import HawkesModel, ModelFlavor, PowerLawKernel
+from hawkesflow.simulate.thinning import KERNEL_TRUNCATION_EPS
 
 
 def fixed_point_claw(phi_funcs, lam, t_max: float, dt: float,
@@ -192,3 +200,241 @@ def lu_reference_solve(claw, quad) -> dict:
         stderr[i, :, :] = np.sqrt(np.maximum(inv_sq @ var_b, 0.0)).reshape(d, q)
     return {"values": values, "norms": values @ quad.weights, "stderr": stderr,
             "condition": np.inf if rcond == 0 else 1.0 / rcond}
+
+
+class _BlockRng:
+    """Counter-based generator with block-cached draws for tight loops."""
+
+    def __init__(self, seed: int, block: int = 1 << 15):
+        self.gen = np.random.Generator(np.random.Philox(seed))
+        self.block = block
+        self._exp = np.empty(0)
+        self._uni = np.empty(0)
+        self._ei = 0
+        self._ui = 0
+
+    def exponential(self) -> float:
+        if self._ei >= len(self._exp):
+            self._exp = self.gen.standard_exponential(self.block)
+            self._ei = 0
+        v = self._exp[self._ei]
+        self._ei += 1
+        return v
+
+    def uniform(self) -> float:
+        if self._ui >= len(self._uni):
+            self._uni = self.gen.random(self.block)
+            self._ui = 0
+        v = self._uni[self._ui]
+        self._ui += 1
+        return v
+
+
+def _simulate_exponential(model: HawkesModel, total_time: float,
+                          rng: _BlockRng) -> tuple[list[list[float]], int, int]:
+    """State-recursion thinning for exponential-family kernel matrices."""
+    d = model.dimension
+    jumps, betas, tgt, src = [], [], [], []
+    for i in range(d):
+        for j in range(d):
+            for alpha, beta in model.kernels[i][j].exp_terms():
+                if alpha == 0.0:
+                    continue
+                jumps.append(alpha * beta)
+                betas.append(beta)
+                tgt.append(i)
+                src.append(j)
+    jumps = np.asarray(jumps)
+    betas = np.asarray(betas)
+    tgt = np.asarray(tgt, dtype=np.intp)
+    src = np.asarray(src, dtype=np.intp)
+    src_terms = [np.nonzero(src == j)[0] for j in range(d)]
+
+    mu = model.baseline
+    mu_sum = float(mu.sum())
+    clip = model.flavor is ModelFlavor.POSITIVE_PART
+
+    times: list[list[float]] = [[] for _ in range(d)]
+    state = np.zeros(len(jumps))
+    t = 0.0
+    candidates = 0
+    clipped = 0
+    while True:
+        bound = mu_sum + float(np.clip(state, 0.0, None).sum())
+        if bound <= 0.0:
+            break
+        t_new = t + rng.exponential() / bound
+        if t_new > total_time:
+            break
+        state *= np.exp(-betas * (t_new - t))
+        t = t_new
+        candidates += 1
+        lam = mu.copy()
+        np.add.at(lam, tgt, state)
+        if clip:
+            if np.any(lam < 0.0):
+                clipped += 1
+                lam = np.clip(lam, 0.0, None)
+        total = float(lam.sum())
+        u = rng.uniform() * bound
+        if u < total:
+            comp = int(np.searchsorted(np.cumsum(lam), u, side="right"))
+            comp = min(comp, d - 1)
+            times[comp].append(t)
+            idx = src_terms[comp]
+            state[idx] += jumps[idx]
+    return times, candidates, clipped
+
+
+def _simulate_generic(model: HawkesModel, total_time: float,
+                      rng: _BlockRng) -> tuple[list[list[float]], int, int]:
+    """Windowed-history thinning for arbitrary kernel matrices."""
+    d = model.dimension
+    kernels = model.kernels
+    support = np.zeros((d, d))
+    for i in range(d):
+        for j in range(d):
+            support[i, j] = kernels[i][j].support(KERNEL_TRUNCATION_EPS)
+    window = support.max(axis=0)  # per source component
+
+    mu = model.baseline
+    clipflavor = model.flavor is ModelFlavor.POSITIVE_PART
+    times: list[list[float]] = [[] for _ in range(d)]
+    hist: list[list[float]] = [[] for _ in range(d)]
+    left = [0] * d
+
+    def contributions(at: float, bounding: bool) -> np.ndarray:
+        lam = mu.astype(float).copy()
+        for j in range(d):
+            while left[j] < len(hist[j]) and at - hist[j][left[j]] > window[j]:
+                left[j] += 1
+            recent = np.asarray(hist[j][left[j]:])
+            if len(recent) == 0:
+                continue
+            lags = at - recent
+            for i in range(d):
+                k = kernels[i][j]
+                if bounding:
+                    lam[i] += float(np.sum(k.upper_bound_from_vec(lags)))
+                else:
+                    lam[i] += float(np.sum(k.value(lags)))
+        return lam
+
+    t = 0.0
+    candidates = 0
+    clipped = 0
+    while True:
+        bound = float(np.clip(contributions(t, bounding=True), 0.0, None).sum())
+        if bound <= 0.0:
+            break
+        t_new = t + rng.exponential() / bound
+        if t_new > total_time:
+            break
+        t = t_new
+        candidates += 1
+        lam = contributions(t, bounding=False)
+        if np.any(lam < 0.0):
+            clipped += 1
+            if clipflavor:
+                lam = np.clip(lam, 0.0, None)
+        lam = np.clip(lam, 0.0, None)
+        total = float(lam.sum())
+        u = rng.uniform() * bound
+        if u < total:
+            comp = int(np.searchsorted(np.cumsum(lam), u, side="right"))
+            comp = min(comp, d - 1)
+            times[comp].append(t)
+            hist[comp].append(t)
+    return times, candidates, clipped
+
+
+def compensator_increments(model: HawkesModel, stream,
+                           n_nodes: int = 32) -> np.ndarray:
+    """Compensator increments between consecutive events of each component
+    of a one-session stream, pooled over components.
+
+    By the time-rescaling theorem they are iid Exp(1) when the stream
+    follows ``model``.  The compensator integrates the intensity built from
+    the session's own events: history before the session start is unknown.
+    Exponential terms integrate in closed form, S (1 - exp(-beta h)) / beta
+    over a gap h from the state S carried by the O(N) recursion.  A
+    power-law kernel adds its primitive c / (gamma - 1) * (t0^(1 - gamma) -
+    (lag + t0)^(1 - gamma)) for each source event within its support and
+    its full norm for older ones.  Positive-part models (exponential
+    kernels only) integrate the clipped intensity on each gap by
+    ``n_nodes``-point Gauss-Legendre quadrature.
+    """
+    sess = stream.sessions[0]
+    d = model.dimension
+    t = np.concatenate(sess.times)
+    comp = np.concatenate([np.full(len(x), i) for i, x in enumerate(sess.times)])
+    order = np.argsort(t, kind="stable")
+    t, comp = t[order], comp[order]
+    gaps = np.diff(t, prepend=0.0)
+    clip = model.flavor is ModelFlavor.POSITIVE_PART
+
+    terms, power_laws = [], []
+    for i, row in enumerate(model.kernels):
+        for j, kernel in enumerate(row):
+            if kernel.is_exponential_family():
+                terms += [(a, b, i, j) for a, b in kernel.exp_terms() if a != 0.0]
+            elif isinstance(kernel, PowerLawKernel) and not clip:
+                power_laws.append((kernel, i, j))
+            else:
+                raise ValueError(f"no compensator for {kernel!r} in a "
+                                 f"{model.flavor.value} model")
+    # starts[q, k]: term q's state at the start of gap k, just after event k-1
+    starts = np.zeros((len(terms), len(t)))
+    for q, (a, b, _, j) in enumerate(terms):
+        s = 0.0
+        for k in range(len(t)):
+            starts[q, k] = s
+            s = s * math.exp(-b * gaps[k]) + (a * b if comp[k] == j else 0.0)
+
+    increments = np.empty((d, len(t)))  # compensator of each component per gap
+    if clip:
+        x, w = np.polynomial.legendre.leggauss(n_nodes)
+        tau = gaps[:, None] * (x + 1.0) / 2.0
+        for i in range(d):
+            lam = np.full(tau.shape, float(model.baseline[i]))
+            for q, (_, b, target, _) in enumerate(terms):
+                if target == i:
+                    lam += starts[q][:, None] * np.exp(-b * tau)
+            increments[i] = np.maximum(lam, 0.0) @ w * gaps / 2.0
+    else:
+        for i in range(d):
+            increments[i] = model.baseline[i] * gaps
+            for q, (_, b, target, _) in enumerate(terms):
+                if target == i:
+                    increments[i] += starts[q] * -np.expm1(-b * gaps) / b
+    compensator = np.cumsum(increments, axis=1)
+    for kernel, i, j in power_laws:
+        compensator[i] += _power_law_compensator(kernel, sess.times[j], t)
+
+    return np.concatenate([np.diff(compensator[i][comp == i], prepend=0.0)
+                           for i in range(d)])
+
+
+def _power_law_compensator(kernel: PowerLawKernel, sources: np.ndarray,
+                           at: np.ndarray, chunk: int = 1 << 20) -> np.ndarray:
+    """Sum over source events s < at of the kernel's primitive at at - s,
+    with events older than the kernel's support counted at the full norm."""
+    c, g, t0 = kernel.c, kernel.gamma, kernel.t0
+    window = kernel.support(KERNEL_TRUNCATION_EPS)
+    lo = np.searchsorted(sources, at - window, side="left")
+    hi = np.searchsorted(sources, at, side="left")
+    out = kernel.norm() * lo.astype(float)
+    start = 0
+    while start < len(at):
+        # take queries until their windows hold about ``chunk`` events
+        stop = int(np.searchsorted(np.cumsum(hi[start:] - lo[start:]), chunk)) + start + 1
+        stop = min(stop, len(at))
+        counts = hi[start:stop] - lo[start:stop]
+        query = np.repeat(np.arange(start, stop), counts)
+        first = np.repeat(lo[start:stop] - np.cumsum(counts) + counts, counts)
+        src = first + np.arange(len(query))
+        lag = at[query] - sources[src]
+        prim = c / (g - 1.0) * (t0 ** (1.0 - g) - (lag + t0) ** (1.0 - g))
+        out[start:stop] += np.bincount(query - start, prim, stop - start)
+        start = stop
+    return out

@@ -54,6 +54,24 @@ class TestSimulateCommand:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("horizon", ["nan", "inf"])
+    def test_nonfinite_horizon_exits_2(self, tmp_path, model_file, capsys,
+                                       horizon):
+        code = main(["simulate", "--model", str(model_file),
+                     "--horizon", horizon, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "horizon must be finite and positive" in capsys.readouterr().err
+
+    def test_nan_baseline_in_model_file_exits_2(self, tmp_path, capsys):
+        # json accepts the NaN literal, so a model file can carry it
+        path = tmp_path / "model.json"
+        path.write_text('{"dimension": 1, "flavor": "linear", "baseline": [NaN],'
+                        ' "kernels": [[{"type": "zero"}]]}')
+        code = main(["simulate", "--model", str(path), "--horizon", "10",
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "baseline rates must be finite" in capsys.readouterr().err
+
 
 class TestEstimateCommand:
     def test_end_to_end_on_simulated_data(self, tmp_path, model_file):

@@ -120,8 +120,16 @@ class TestSimulatorPathEquivalences:
 
 
 class TestErrorBarCalibration:
-    def test_propagated_stderr_tracks_ensemble_spread(self):
-        model = HawkesModel.linear([1.0], [[ExponentialKernel(0.5, 10.0)]])
+    @pytest.mark.parametrize("model", [
+        pytest.param(HawkesModel.linear([1.0], [[ExponentialKernel(0.5, 10.0)]]),
+                     id="d1"),
+        pytest.param(HawkesModel.linear(
+            [0.5, 0.5],
+            [[ExponentialKernel(0.3, 10.0), ExponentialKernel(0.2, 10.0)],
+             [ExponentialKernel(0.2, 10.0), ExponentialKernel(0.3, 10.0)]]),
+            id="d2_mutual"),
+    ])
+    def test_propagated_stderr_tracks_ensemble_spread(self, model):
         grid = build_linlog_grid(h_min=1e-3, h_max=2.0, n_lin=20, n_log=120)
         quad = build_quadrature()
         runs = []
@@ -130,12 +138,12 @@ class TestErrorBarCalibration:
             stream = simulate(model, 2e4, seed=900 + k)
             est = solve_wiener_hopf(estimate_conditional_law(stream, grid),
                                     quad)
-            runs.append(est.values[0, 0])
-            reported.append(est.stderr[0, 0])
+            runs.append(est.values)
+            reported.append(est.stderr)
         spread = np.std(np.array(runs), axis=0, ddof=1)
         typical = np.array(reported).mean(axis=0)
-        # compare where the kernel is estimable at all; first-order error
+        # compare where the kernels are estimable at all; first-order error
         # propagation should land within a factor of two of reality
         sel = (quad.nodes > 1e-3) & (quad.nodes < 0.3)
-        ratio = typical[sel] / np.maximum(spread[sel], 1e-12)
+        ratio = typical[..., sel] / np.maximum(spread[..., sel], 1e-12)
         assert 0.5 < np.median(ratio) < 2.0

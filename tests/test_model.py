@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,22 @@ class TestHawkesModel:
         m2 = HawkesModel.linear([1.0], [[ExponentialKernel(0.5, 10.1)]])
         assert m1.content_hash() != m2.content_hash()
         assert m1.content_hash() == HawkesModel.from_dict(m1.to_dict()).content_hash()
+
+
+class TestNonFiniteBaseline:
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+    def test_linear_model_file_rejected(self, literal):
+        text = ('{"dimension": 2, "flavor": "linear", "baseline": [1.0, %s],'
+                ' "kernels": [[{"type": "zero"}, {"type": "zero"}],'
+                ' [{"type": "zero"}, {"type": "zero"}]]}' % literal)
+        with pytest.raises(ValueError, match="baseline rates must be finite"):
+            HawkesModel.from_dict(json.loads(text))
+
+    @pytest.mark.parametrize("total", [float("nan"), float("inf")])
+    def test_factorized_total_rejected(self, total):
+        with pytest.raises(ValueError, match="baseline rates must be finite"):
+            HawkesModel.factorized(total, ExponentialKernel(0.3, 8.0),
+                                   [1.0, 2.0], [0.5, 0.5])
 
 
 class TestPointwiseNonnegativity:

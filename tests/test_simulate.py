@@ -6,11 +6,19 @@ from hawkesflow.errors import StabilityError
 from hawkesflow.simulate import (
     ExponentialKernel,
     HawkesModel,
+    ModelFlavor,
     PowerLawKernel,
+    TabulatedKernel,
     ZeroKernel,
     mean_intensity,
     simulate,
-    simulate_factorized,
+    thinning,
+)
+from oracles import (
+    _BlockRng,
+    _simulate_exponential,
+    _simulate_generic,
+    compensator_increments,
 )
 
 
@@ -70,6 +78,12 @@ class TestThinning:
         with pytest.raises(ValueError):
             simulate(poisson_model([1.0]), 0.0, seed=1)
 
+    @pytest.mark.parametrize("horizon", [float("nan"), float("inf"),
+                                         float("-inf")])
+    def test_nonfinite_horizon_rejected(self, horizon):
+        with pytest.raises(ValueError, match="finite and positive"):
+            simulate(poisson_model([1.0]), horizon, seed=1)
+
     def test_inhibition_lowers_rate_below_excitation_only_prediction(self):
         inhibited = HawkesModel.linear(
             [1.0, 1.0],
@@ -110,7 +124,7 @@ class TestFactorized:
     def test_zero_mark_function_gives_poisson(self):
         model = HawkesModel.factorized(
             2.0, ExponentialKernel(0.5, 10.0), [0.0, 0.0], [0.5, 0.5])
-        stream = simulate_factorized(model, 5e4, seed=11)
+        stream = simulate(model, 5e4, seed=11)
         total = stream.total_counts.sum()
         assert abs(total - 1e5) < 3 * np.sqrt(1e5)
         # marks i.i.d.: each component holds about half
@@ -119,7 +133,7 @@ class TestFactorized:
     def test_uniform_marks_match_equivalent_linear_model(self):
         base = ExponentialKernel(0.5, 10.0)
         fact = HawkesModel.factorized(2.0, base, [1.0, 1.0], [0.5, 0.5])
-        stream_f = simulate_factorized(fact, 5e4, seed=12)
+        stream_f = simulate(fact, 5e4, seed=12)
         half = ExponentialKernel(0.25, 10.0)
         linear = HawkesModel.linear(
             [1.0, 1.0], [[half, half], [half, half]])
@@ -130,10 +144,13 @@ class TestFactorized:
             assert np.allclose(emp, lam, rtol=0.05)
 
     def test_routing_through_simulate_entry_point(self):
+        # a factorized model simulates as the kernel matrix it derives
         model = HawkesModel.factorized(
             1.0, ExponentialKernel(0.4, 10.0), [1.0, 2.0], [0.5, 0.5])
+        matrix = HawkesModel.linear(model.baseline, model.kernels)
         a = simulate(model, 200.0, seed=14)
-        b = simulate_factorized(model, 200.0, seed=14)
+        b = simulate(matrix, 200.0, seed=14)
+        assert a.total_counts.sum() > 100
         for ta, tb in zip(a.sessions[0].times, b.sessions[0].times):
             assert np.array_equal(ta, tb)
 
@@ -141,7 +158,7 @@ class TestFactorized:
         model = HawkesModel.factorized(
             1.0, ExponentialKernel(0.8, 10.0), [1.0, 2.0], [0.5, 0.5])
         with pytest.raises(StabilityError):
-            simulate_factorized(model, 100.0, seed=1)
+            simulate(model, 100.0, seed=1)
 
 
 class TestFactorizedCollapseLaw:
@@ -153,7 +170,7 @@ class TestFactorizedCollapseLaw:
 
         model = HawkesModel.factorized(
             1.0, ExponentialKernel(0.4, 10.0), [1.0, 2.0], [0.5, 0.5])
-        stream = simulate_factorized(model, 5e4, seed=15)
+        stream = simulate(model, 5e4, seed=15)
         grid = build_linlog_grid(h_min=1e-2, h_max=1.0, n_lin=10, n_log=40)
         claw = estimate_conditional_law(stream, grid)
 
@@ -168,3 +185,115 @@ class TestFactorizedCollapseLaw:
         for r in ratios:
             assert r == pytest.approx(1.0, abs=0.15)  # p_0 / p_1 = 1
         assert ratios[0] == pytest.approx(ratios[1], abs=0.2)
+
+
+def tabulated_exponential(norm, beta, end=2.5, n=201):
+    grid = np.linspace(0.0, end, n)
+    return TabulatedKernel(tuple(grid), tuple(norm * beta * np.exp(-beta * grid)))
+
+
+def book12_model():
+    """The D=12 full-book positive-part model of the benchmark's book12
+    workload: ask L1 L2 C1 C2 T1 T2, then the same on the bid side, with
+    inhibitory cross-side trade kernels."""
+    d = 12
+    mu = np.tile([0.50, 0.35, 0.40, 0.30, 0.25, 0.20], 2)
+    alpha = np.zeros((d, d))
+    beta = np.full((d, d), 10.0)
+    for side in (0, 6):
+        lim, can, trd = side + np.arange(2), side + 2 + np.arange(2), side + 4 + np.arange(2)
+        for c in range(side, side + 6):
+            alpha[c, c], beta[c, c] = 0.25, 25.0
+        alpha[can, lim] = 0.15
+        alpha[trd, lim] = 0.05
+        alpha[lim, trd], beta[lim, trd] = 0.20, 40.0
+        other = trd + 6 if side == 0 else trd - 6
+        alpha[other, trd], beta[other, trd] = -0.15, 15.0
+    kernels = [[ExponentialKernel(alpha[i, j], beta[i, j]) if alpha[i, j] else ZeroKernel()
+                for j in range(d)] for i in range(d)]
+    return HawkesModel.linear(mu, kernels, flavor="positive_part")
+
+
+def mutual_d2():
+    return HawkesModel.linear(
+        [0.5, 1.0],
+        [[ExponentialKernel(0.2, 8.0), ExponentialKernel(0.3, 4.0)],
+         [ExponentialKernel(0.4, 12.0), ExponentialKernel(0.1, 6.0)]])
+
+
+def mixed_d2():
+    # The reference sums every kernel of a source over one history window,
+    # the longest support among them.  Here each exponential kernel shares
+    # its source with a kernel of longer support, so both loops sum the
+    # same past events: none of the exponential tails is cut measurably,
+    # and no windowed kernel is summed further out than its own support.
+    return HawkesModel.linear(
+        [0.6, 0.8],
+        [[ExponentialKernel(0.3, 10.0), tabulated_exponential(0.2, 10.0)],
+         [PowerLawKernel(0.002, 2.0, 0.01), ExponentialKernel(-0.3, 20.0)]],
+        flavor="positive_part")
+
+
+EXP_D1 = HawkesModel.linear([1.0], [[ExponentialKernel(0.5, 10.0)]])
+POWER_LAW_D1 = HawkesModel.linear([1.0], [[PowerLawKernel(0.004, 2.0, 0.01)]])
+
+
+class TestReferenceIdentity:
+    """The thinning loop against the former exponential-state and
+    windowed-history loops: the same draws give the same candidates, the
+    same events, and the same times up to rounding."""
+
+    @pytest.mark.parametrize("model, horizon, seed, reference", [
+        pytest.param(EXP_D1, 2000.0, 31, _simulate_exponential, id="exp_d1"),
+        pytest.param(mutual_d2(), 2000.0, 32, _simulate_exponential, id="linear_d2"),
+        pytest.param(book12_model(), 100.0, 33, _simulate_exponential,
+                     id="book12_positive_part"),
+        pytest.param(POWER_LAW_D1, 1000.0, 34, _simulate_generic, id="power_law_d1"),
+        pytest.param(HawkesModel.linear([1.0], [[tabulated_exponential(0.4, 10.0)]]),
+                     1000.0, 35, _simulate_generic, id="tabulated_d1"),
+        pytest.param(mixed_d2(), 1000.0, 36, _simulate_generic, id="mixed_d2"),
+    ])
+    def test_same_stream_as_reference(self, model, horizon, seed, reference):
+        total = horizon + thinning._burn_in(model.baseline)
+        times, candidates, clipped = thinning._thin(
+            model, total, thinning._BlockRng(seed))
+        ref_times, ref_candidates, ref_clipped = reference(
+            model, total, _BlockRng(seed))
+        assert candidates == ref_candidates
+        assert [len(t) for t in times] == [len(t) for t in ref_times]
+        assert sum(len(t) for t in times) > 500
+        for a, b in zip(times, ref_times):
+            assert np.max(np.abs(np.subtract(a, b)), initial=0.0) <= 1e-9
+        if model.flavor is ModelFlavor.POSITIVE_PART:
+            assert clipped == ref_clipped > 0
+
+
+class TestTimeRescaling:
+    """Compensator increments between events are iid Exp(1) under the
+    simulated model (time-rescaling theorem)."""
+
+    @pytest.mark.parametrize("model, horizon, seed", [
+        pytest.param(EXP_D1, 2e4, 1101, id="exp_d1"),
+        pytest.param(mutual_d2(), 1e4, 1102, id="mutual_linear_d2"),
+        pytest.param(HawkesModel.factorized(
+            1.0, ExponentialKernel(0.4, 10.0), [1.0, 2.0], [0.5, 0.5]),
+            2e4, 1103, id="factorized_exp_base"),
+        pytest.param(HawkesModel.linear(
+            [1.0, 1.0],
+            [[ExponentialKernel(0.3, 8.0), ExponentialKernel(-0.5, 10.0)],
+             [ExponentialKernel(-0.4, 12.0), ExponentialKernel(0.35, 6.0)]],
+            flavor="positive_part"), 1e4, 1104, id="positive_part_inhibition_d2"),
+        pytest.param(POWER_LAW_D1, 1e4, 1105, id="power_law_d1"),
+    ])
+    def test_compensator_increments_are_unit_exponential(self, model, horizon, seed):
+        stream = simulate(model, horizon, seed)
+        increments = compensator_increments(model, stream)
+        assert len(increments) > 5000
+        assert sps.kstest(increments, "expon").pvalue > 0.01
+
+    def test_wrong_model_is_detected(self):
+        # the check has power: a stream from a weaker kernel fails it
+        weaker = HawkesModel.linear([1.0], [[ExponentialKernel(0.4, 10.0)]])
+        stream = simulate(weaker, 2e4, seed=1200)
+        increments = compensator_increments(EXP_D1, stream)
+        assert sps.kstest(increments, "expon").pvalue < 1e-6
