@@ -27,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .._tables import float_cells, int_cells, write_table
 from ..grids import LinLogGrid, build_linlog_grid
 from ..events.types import MultivariateEventStream, Session
 
@@ -345,25 +346,28 @@ def estimate_conditional_law(stream: MultivariateEventStream,
         meta={"weighting": weighting, "sessions": len(stream.sessions)})
 
 
+def write_law_curves(claw: ConditionalLawMatrix, targets) -> list[Path]:
+    """Write the (i <- j) law for each ``(i, j, path)`` of ``targets`` as
+    ``bin_left, bin_right, value, stderr, pairs`` rows, one per bin."""
+    edges = float_cells(claw.grid.edges)
+    left, right = edges[:-1], edges[1:]
+    written = []
+    for i, j, path in targets:
+        write_table(path, ["bin_left", "bin_right", "value", "stderr", "pairs"],
+                    [left, right, float_cells(claw.values[i, j]),
+                     float_cells(claw.stderr[i, j]),
+                     int_cells(claw.pair_counts[i, j])])
+        written.append(path)
+    return written
+
+
 def save_claw(claw: ConditionalLawMatrix, out_dir) -> list[Path]:
     """One CSV per ordered pair plus a manifest with rates and grid."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
     d = claw.dimension
-    edges = claw.grid.edges
-    for i in range(d):
-        for j in range(d):
-            path = out_dir / f"claw_{i}_{j}.csv"
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                w = csv.writer(fh, lineterminator="\n")
-                w.writerow(["bin_left", "bin_right", "value", "stderr", "pairs"])
-                for b in range(claw.grid.n_bins):
-                    w.writerow([repr(float(edges[b])), repr(float(edges[b + 1])),
-                                repr(float(claw.values[i, j, b])),
-                                repr(float(claw.stderr[i, j, b])),
-                                int(claw.pair_counts[i, j, b])])
-            written.append(path)
+    written = write_law_curves(claw, [(i, j, out_dir / f"claw_{i}_{j}.csv")
+                                      for i in range(d) for j in range(d)])
     manifest = {
         "dimension": d,
         "mean_intensity": [float(v) for v in claw.lam],
@@ -373,9 +377,7 @@ def save_claw(claw: ConditionalLawMatrix, out_dir) -> list[Path]:
         "admissible": claw.admissible.tolist(),
     }
     mpath = out_dir / "claw_manifest.json"
-    with open(mpath, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    mpath.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
     written.append(mpath)
     return written
 

@@ -13,9 +13,7 @@ from .types import (
     Side,
 )
 from .io import (
-    RecordFormat,
     load_binning_scheme,
-    parse_records,
     read_event_csv,
     read_snapshot_csv,
     save_binning_scheme,
@@ -37,8 +35,8 @@ from .stats import flow_statistics
 __all__ = [
     "BinningMode", "BinningScheme", "EventType", "FlowStatistics",
     "MultivariateEventStream", "OrderEvent", "RawRecord", "RecordKind",
-    "Session", "Side", "RecordFormat", "load_binning_scheme", "parse_records",
-    "read_event_csv", "read_snapshot_csv", "save_binning_scheme",
+    "Session", "Side", "load_binning_scheme", "read_event_csv",
+    "read_snapshot_csv", "save_binning_scheme",
     "write_event_csv", "ReconstructionDiagnostics", "aggregate_simultaneous",
     "reconstruct_orders", "assign_components", "combine_streams",
     "filter_session", "randomize_timestamps", "flow_statistics",

@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from enum import Enum
 from pathlib import Path
 from typing import Iterable, TextIO
 
@@ -23,8 +22,6 @@ from ..errors import ParseError
 from .types import BinningScheme, EventType, OrderEvent, RawRecord, RecordKind, Side
 
 __all__ = [
-    "RecordFormat",
-    "parse_records",
     "read_event_csv",
     "write_event_csv",
     "read_snapshot_csv",
@@ -39,11 +36,6 @@ SNAPSHOT_HEADER = [
     "timestamp_us", "kind", "bid_price", "bid_size", "ask_price", "ask_size",
     "trade_price", "trade_volume", "trade_side",
 ]
-
-
-class RecordFormat(str, Enum):
-    EVENT = "event"
-    SNAPSHOT = "snapshot"
 
 
 def _open_text(source) -> TextIO:
@@ -183,17 +175,6 @@ def read_snapshot_csv(source) -> list[RawRecord]:
     finally:
         if close:
             fh.close()
-
-
-def parse_records(source, fmt: RecordFormat = RecordFormat.SNAPSHOT):
-    """Parse a delimited session file.
-
-    Returns RawRecords for ``RecordFormat.SNAPSHOT`` and OrderEvents for
-    ``RecordFormat.EVENT`` (event lines already are typed order events).
-    """
-    if fmt is RecordFormat.SNAPSHOT:
-        return read_snapshot_csv(source)
-    return read_event_csv(source)
 
 
 def load_binning_scheme(path) -> BinningScheme:

@@ -9,7 +9,6 @@ downstream.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -17,9 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimate.claw import ConditionalLawMatrix
+from ._tables import float_cells, int_cells, text_cells, write_matrix_csv, write_table
+from .estimate.claw import ConditionalLawMatrix, write_law_curves
 from .events.types import BinningScheme, FlowStatistics
-from .whsolve.solver import KernelEstimate
+from .whsolve.solver import KernelEstimate, write_norm_tables
 
 __all__ = [
     "ReportBundle",
@@ -30,19 +30,6 @@ __all__ = [
     "emit_flow_report",
     "write_manifest",
 ]
-
-
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
-def write_matrix_csv(path: Path, matrix: np.ndarray, row_labels: list[str],
-                  col_labels: list[str]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow([""] + list(col_labels))
-        for label, row in zip(row_labels, matrix):
-            w.writerow([label] + [_fmt(v) for v in row])
 
 
 @dataclass
@@ -83,12 +70,7 @@ def emit_norm_tables(est: KernelEstimate, labels: list[str], out_dir,
         raise ValueError(f"{len(labels)} labels for dimension {d}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name, matrix in (("norms.csv", est.norms),
-                         ("rescaled_norms.csv", est.rescaled)):
-        path = out_dir / name
-        write_matrix_csv(path, matrix, labels, labels)
-        written.append(path)
+    written = write_norm_tables(est, labels, out_dir)
     blocks = scheme.side_blocks() if scheme is not None else None
     if blocks:
         for tgt_name, tgt_idx in blocks.items():
@@ -104,25 +86,30 @@ def emit_norm_tables(est: KernelEstimate, labels: list[str], out_dir,
     return written
 
 
-def emit_kernel_curves(est: KernelEstimate, selection: list[tuple[int, int]],
-                       out_dir, labels: list[str] | None = None) -> list[Path]:
-    """Per-pair kernel curves ``node, phi, stderr`` for log-axis plotting."""
-    d = est.dimension
+def _curve_targets(prefix: str, what: str, selection, d: int,
+                   labels: list[str] | None, out_dir):
+    """``(i, j, path)`` of each selected pair; a pair outside the dimension
+    raises when it is reached, after the pairs before it were written."""
     labels = labels or [str(i) for i in range(d)]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
     for i, j in selection:
         if not (0 <= i < d and 0 <= j < d):
-            raise IndexError(f"kernel index ({i}, {j}) outside dimension {d}")
-        path = out_dir / f"kernel_curve_{labels[i]}_from_{labels[j]}.csv"
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["node", "phi", "stderr"])
-            for m in range(est.quad.n_nodes):
-                sd = est.stderr[i, j, m] if est.stderr is not None else 0.0
-                w.writerow([_fmt(est.quad.nodes[m]),
-                            _fmt(est.values[i, j, m]), _fmt(sd)])
+            raise IndexError(f"{what} index ({i}, {j}) outside dimension {d}")
+        yield i, j, out_dir / f"{prefix}_curve_{labels[i]}_from_{labels[j]}.csv"
+
+
+def emit_kernel_curves(est: KernelEstimate, selection: list[tuple[int, int]],
+                       out_dir, labels: list[str] | None = None) -> list[Path]:
+    """Per-pair kernel curves ``node, phi, stderr`` for log-axis plotting."""
+    nodes = float_cells(est.quad.nodes)
+    no_stderr = ["0.0"] * len(nodes)
+    written = []
+    for i, j, path in _curve_targets("kernel", "kernel", selection, est.dimension,
+                                     labels, out_dir):
+        sd = no_stderr if est.stderr is None else float_cells(est.stderr[i, j])
+        write_table(path, ["node", "phi", "stderr"],
+                    [nodes, float_cells(est.values[i, j]), sd])
         written.append(path)
     return written
 
@@ -131,26 +118,8 @@ def emit_claw_curves(claw: ConditionalLawMatrix,
                      selection: list[tuple[int, int]], out_dir,
                      labels: list[str] | None = None) -> list[Path]:
     """Per-pair conditional-law curves with error bars and pair counts."""
-    d = claw.dimension
-    labels = labels or [str(i) for i in range(d)]
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    edges = claw.grid.edges
-    for i, j in selection:
-        if not (0 <= i < d and 0 <= j < d):
-            raise IndexError(f"law index ({i}, {j}) outside dimension {d}")
-        path = out_dir / f"claw_curve_{labels[i]}_from_{labels[j]}.csv"
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["bin_left", "bin_right", "value", "stderr", "pairs"])
-            for b in range(claw.grid.n_bins):
-                w.writerow([_fmt(edges[b]), _fmt(edges[b + 1]),
-                            _fmt(claw.values[i, j, b]),
-                            _fmt(claw.stderr[i, j, b]),
-                            int(claw.pair_counts[i, j, b])])
-        written.append(path)
-    return written
+    return write_law_curves(claw, _curve_targets("claw", "law", selection,
+                                                 claw.dimension, labels, out_dir))
 
 
 def emit_flow_report(stats: FlowStatistics, out_dir,
@@ -164,44 +133,33 @@ def emit_flow_report(stats: FlowStatistics, out_dir,
     written = []
 
     path = out_dir / "duration_histogram.csv"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["bin_left", "bin_right", "pooled"] + list(labels))
-        for b in range(len(stats.duration_edges) - 1):
-            row = [_fmt(stats.duration_edges[b]), _fmt(stats.duration_edges[b + 1]),
-                   int(stats.pooled_duration_counts[b])]
-            row += [int(stats.duration_counts[i, b]) for i in range(d)]
-            w.writerow(row)
+    edges = float_cells(stats.duration_edges)
+    write_table(path, ["bin_left", "bin_right", "pooled"] + list(labels),
+                [edges[:-1], edges[1:], int_cells(stats.pooled_duration_counts)]
+                + [int_cells(stats.duration_counts[i]) for i in range(d)])
     written.append(path)
 
     # Table-style summary: events per component and their share of the total.
     total = int(stats.event_counts.sum())
+    frac = 100.0 * stats.event_counts / total if total else np.zeros(d)
     path = out_dir / "component_summary.csv"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["component", "events", "fraction_pct", "mean_intensity"])
-        for i in range(d):
-            frac = 100.0 * stats.event_counts[i] / total if total else 0.0
-            w.writerow([labels[i], int(stats.event_counts[i]), _fmt(frac),
-                        _fmt(stats.mean_intensity[i])])
+    write_table(path, ["component", "events", "fraction_pct", "mean_intensity"],
+                [text_cells(labels), int_cells(stats.event_counts), float_cells(frac),
+                 float_cells(stats.mean_intensity)])
     written.append(path)
 
     if stats.volume_histogram is not None:
         path = out_dir / "volume_histogram.csv"
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["signed_volume", "count"])
-            for vol, count in stats.volume_histogram.items():
-                w.writerow([vol, count])
+        write_table(path, ["signed_volume", "count"],
+                    [list(map(str, stats.volume_histogram)),
+                     list(map(str, stats.volume_histogram.values()))])
         written.append(path)
 
     if stats.sign_autocorr is not None:
         path = out_dir / "trade_autocorrelation.csv"
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["lag", "sign_autocorr", "volume_autocorr"])
-            for k in range(len(stats.sign_autocorr)):
-                w.writerow([k, _fmt(stats.sign_autocorr[k]),
-                            _fmt(stats.volume_autocorr[k])])
+        lags = list(map(str, range(len(stats.sign_autocorr))))
+        write_table(path, ["lag", "sign_autocorr", "volume_autocorr"],
+                    [lags, float_cells(stats.sign_autocorr),
+                     float_cells(stats.volume_autocorr)])
         written.append(path)
     return written

@@ -8,7 +8,8 @@ simulator relies on it for its dominating rate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -110,6 +111,8 @@ class ExponentialKernel(KernelSpec):
     beta: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise ValueError("alpha and beta must be finite")
         if self.beta <= 0:
             raise ValueError("beta must be positive")
 
@@ -160,8 +163,8 @@ class SumOfExponentialsKernel(KernelSpec):
     def __post_init__(self):
         if not self.terms:
             raise ValueError("need at least one (alpha, beta) term")
-        if any(b <= 0 for _, b in self.terms):
-            raise ValueError("beta must be positive")
+        for a, b in self.terms:
+            ExponentialKernel(a, b)  # each term passes the single-term checks
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
@@ -261,6 +264,11 @@ class TabulatedKernel(KernelSpec):
 
     grid: tuple[float, ...]
     values: tuple[float, ...]
+    # the tables as arrays, and the running maximum of the values from each
+    # grid point to the end, for the evaluations the simulator repeats
+    _grid: np.ndarray = field(init=False, repr=False, compare=False)
+    _values: np.ndarray = field(init=False, repr=False, compare=False)
+    _suffix_max: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.grid) != len(self.values) or len(self.grid) < 2:
@@ -268,10 +276,14 @@ class TabulatedKernel(KernelSpec):
         g = np.asarray(self.grid)
         if g[0] < 0 or np.any(np.diff(g) <= 0):
             raise ValueError("grid must be nonnegative and strictly increasing")
+        v = np.asarray(self.values, dtype=float)
+        object.__setattr__(self, "_grid", g)
+        object.__setattr__(self, "_values", v)
+        object.__setattr__(self, "_suffix_max", np.maximum.accumulate(v[::-1])[::-1])
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
-        out = np.interp(t, self.grid, self.values, left=0.0, right=0.0)
+        out = np.interp(t, self._grid, self._values, left=0.0, right=0.0)
         return np.where((t >= 0) & (t <= self.grid[-1]), out, 0.0)
 
     def norm(self) -> float:
@@ -293,20 +305,18 @@ class TabulatedKernel(KernelSpec):
 
     def upper_bound_from(self, tau: float) -> float:
         # piecewise-linear segments attain their maxima at the grid points
-        v = np.asarray(self.values, dtype=float)
-        g = np.asarray(self.grid)
+        g = self._grid
         if tau >= g[-1]:
             return 0.0
-        suffix = float(np.max(v[g >= tau], initial=0.0))
+        suffix = float(np.max(self._values[g >= tau], initial=0.0))
         return max(suffix, float(self.value(max(tau, 0.0))), 0.0)
 
     def upper_bound_from_vec(self, taus: np.ndarray) -> np.ndarray:
         taus = np.maximum(np.asarray(taus, dtype=float), 0.0)
-        g = np.asarray(self.grid)
-        v = np.asarray(self.values, dtype=float)
-        suffix = np.maximum.accumulate(v[::-1])[::-1]
+        g = self._grid
         idx = np.searchsorted(g, taus, side="left")
-        out = np.where(idx < len(g), suffix[np.minimum(idx, len(g) - 1)], 0.0)
+        out = np.where(idx < len(g),
+                       self._suffix_max[np.minimum(idx, len(g) - 1)], 0.0)
         out = np.maximum(out, self.value(taus))
         return np.where(taus >= g[-1], 0.0, np.maximum(out, 0.0))
 

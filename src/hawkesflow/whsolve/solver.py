@@ -21,13 +21,13 @@ positivity projection is applied.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .._tables import float_cells, text_cells, write_matrix_csv, write_table
 from ..errors import SolverError
 from ..estimate.claw import ConditionalLawMatrix
 from ..grids import QuadratureGrid, build_quadrature
@@ -284,6 +284,14 @@ def verify_negativity_propagation(claw: ConditionalLawMatrix,
                             (int(i), int(j), float(est.quad.nodes[m])), est)
 
 
+def write_norm_tables(est: KernelEstimate, labels: list[str], out_dir) -> list[Path]:
+    """``norms.csv`` and ``rescaled_norms.csv``, labelled on both axes."""
+    paths = [out_dir / "norms.csv", out_dir / "rescaled_norms.csv"]
+    for path, matrix in zip(paths, (est.norms, est.rescaled)):
+        write_matrix_csv(path, matrix, labels, labels)
+    return paths
+
+
 def save_kernel_estimate(est: KernelEstimate, out_dir,
                          labels: list[str] | None = None) -> list[Path]:
     """Write per-pair kernel CSVs, norm matrices, baseline table and a
@@ -294,35 +302,20 @@ def save_kernel_estimate(est: KernelEstimate, out_dir,
     labels = labels or [str(i) for i in range(d)]
     if len(labels) != d:
         raise ValueError(f"{len(labels)} labels for dimension {d}")
+    nodes = float_cells(est.quad.nodes)
+    weights = float_cells(est.quad.weights)
     written = []
     for i in range(d):
         for j in range(d):
             path = out_dir / f"kernel_{i}_{j}.csv"
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                w = csv.writer(fh, lineterminator="\n")
-                w.writerow(["node", "weight", "phi_value"])
-                for m in range(est.quad.n_nodes):
-                    w.writerow([repr(float(est.quad.nodes[m])),
-                                repr(float(est.quad.weights[m])),
-                                repr(float(est.values[i, j, m]))])
+            write_table(path, ["node", "weight", "phi_value"],
+                        [nodes, weights, float_cells(est.values[i, j])])
             written.append(path)
-    for name, matrix in (("norms.csv", est.norms),
-                         ("rescaled_norms.csv", est.rescaled)):
-        path = out_dir / name
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow([""] + labels)
-            for i in range(d):
-                w.writerow([labels[i]] + [repr(float(v)) for v in matrix[i]])
-        written.append(path)
+    written += write_norm_tables(est, labels, out_dir)
     path = out_dir / "baseline.csv"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["component", "baseline", "mean_intensity", "exogeneity_pct"])
-        for i in range(d):
-            w.writerow([labels[i], repr(float(est.baseline[i])),
-                        repr(float(est.lam[i])),
-                        repr(float(est.exogeneity_pct[i]))])
+    write_table(path, ["component", "baseline", "mean_intensity", "exogeneity_pct"],
+                [text_cells(labels), float_cells(est.baseline),
+                 float_cells(est.lam), float_cells(est.exogeneity_pct)])
     written.append(path)
     manifest = {
         "dimension": d,
@@ -333,8 +326,6 @@ def save_kernel_estimate(est: KernelEstimate, out_dir,
         "meta": est.meta,
     }
     mpath = out_dir / "kernel_manifest.json"
-    with open(mpath, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    mpath.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
     written.append(mpath)
     return written

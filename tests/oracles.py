@@ -9,18 +9,26 @@ solver's former block-by-block assembly and its LU path through
 ``scipy.linalg`` serve as references for the numpy-only solve.  The
 simulator's former exponential-state and windowed-history thinning loops
 serve as references for its single loop, and compensator increments give
-the time-rescaling check of simulated streams.
+the time-rescaling check of simulated streams.  The former row-by-row CSV
+writers of laws, kernels and reports are the byte-level reference for the
+column-formatted table writer.
 """
 
 from __future__ import annotations
 
+import csv
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg as sla
 from scipy.signal import fftconvolve
 
+from hawkesflow.estimate import ConditionalLawMatrix
+from hawkesflow.events import FlowStatistics
 from hawkesflow.simulate import HawkesModel, ModelFlavor, PowerLawKernel
+from hawkesflow.whsolve import KernelEstimate
 from hawkesflow.simulate.thinning import KERNEL_TRUNCATION_EPS
 
 
@@ -438,3 +446,213 @@ def _power_law_compensator(kernel: PowerLawKernel, sources: np.ndarray,
         out[start:stop] += np.bincount(query - start, prim, stop - start)
         start = stop
     return out
+
+
+# The package's CSV writers as they were before they wrote a column at a
+# time; the table writer must reproduce their files byte for byte.
+
+def save_claw(claw: ConditionalLawMatrix, out_dir) -> list[Path]:
+    """One CSV per ordered pair plus a manifest with rates and grid."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    written = []
+    d = claw.dimension
+    edges = claw.grid.edges
+    for i in range(d):
+        for j in range(d):
+            path = out_dir / f"claw_{i}_{j}.csv"
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                w = csv.writer(fh, lineterminator="\n")
+                w.writerow(["bin_left", "bin_right", "value", "stderr", "pairs"])
+                for b in range(claw.grid.n_bins):
+                    w.writerow([repr(float(edges[b])), repr(float(edges[b + 1])),
+                                repr(float(claw.values[i, j, b])),
+                                repr(float(claw.stderr[i, j, b])),
+                                int(claw.pair_counts[i, j, b])])
+            written.append(path)
+    manifest = {
+        "dimension": d,
+        "mean_intensity": [float(v) for v in claw.lam],
+        "total_time": claw.total_time,
+        "grid": claw.grid.to_dict(),
+        "meta": claw.meta,
+        "admissible": claw.admissible.tolist(),
+    }
+    mpath = out_dir / "claw_manifest.json"
+    with open(mpath, "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2)
+        fh.write("\n")
+    written.append(mpath)
+    return written
+
+
+def save_kernel_estimate(est: KernelEstimate, out_dir,
+                         labels: list[str] | None = None) -> list[Path]:
+    """Write per-pair kernel CSVs, norm matrices, baseline table and a
+    JSON manifest with grid parameters and solver diagnostics."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    d = est.dimension
+    labels = labels or [str(i) for i in range(d)]
+    if len(labels) != d:
+        raise ValueError(f"{len(labels)} labels for dimension {d}")
+    written = []
+    for i in range(d):
+        for j in range(d):
+            path = out_dir / f"kernel_{i}_{j}.csv"
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                w = csv.writer(fh, lineterminator="\n")
+                w.writerow(["node", "weight", "phi_value"])
+                for m in range(est.quad.n_nodes):
+                    w.writerow([repr(float(est.quad.nodes[m])),
+                                repr(float(est.quad.weights[m])),
+                                repr(float(est.values[i, j, m]))])
+            written.append(path)
+    for name, matrix in (("norms.csv", est.norms),
+                         ("rescaled_norms.csv", est.rescaled)):
+        path = out_dir / name
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow([""] + labels)
+            for i in range(d):
+                w.writerow([labels[i]] + [repr(float(v)) for v in matrix[i]])
+        written.append(path)
+    path = out_dir / "baseline.csv"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["component", "baseline", "mean_intensity", "exogeneity_pct"])
+        for i in range(d):
+            w.writerow([labels[i], repr(float(est.baseline[i])),
+                        repr(float(est.lam[i])),
+                        repr(float(est.exogeneity_pct[i]))])
+    written.append(path)
+    manifest = {
+        "dimension": d,
+        "labels": labels,
+        "quadrature": est.quad.to_dict(),
+        "residual": est.residual,
+        "condition_estimate": est.condition_estimate,
+        "meta": est.meta,
+    }
+    mpath = out_dir / "kernel_manifest.json"
+    with open(mpath, "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2)
+        fh.write("\n")
+    written.append(mpath)
+    return written
+
+
+def _fmt(x) -> str:
+    return repr(float(x))
+
+
+def write_matrix_csv(path: Path, matrix: np.ndarray, row_labels: list[str],
+                  col_labels: list[str]) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow([""] + list(col_labels))
+        for label, row in zip(row_labels, matrix):
+            w.writerow([label] + [_fmt(v) for v in row])
+
+
+def emit_kernel_curves(est: KernelEstimate, selection: list[tuple[int, int]],
+                       out_dir, labels: list[str] | None = None) -> list[Path]:
+    """Per-pair kernel curves ``node, phi, stderr`` for log-axis plotting."""
+    d = est.dimension
+    labels = labels or [str(i) for i in range(d)]
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    written = []
+    for i, j in selection:
+        if not (0 <= i < d and 0 <= j < d):
+            raise IndexError(f"kernel index ({i}, {j}) outside dimension {d}")
+        path = out_dir / f"kernel_curve_{labels[i]}_from_{labels[j]}.csv"
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(["node", "phi", "stderr"])
+            for m in range(est.quad.n_nodes):
+                sd = est.stderr[i, j, m] if est.stderr is not None else 0.0
+                w.writerow([_fmt(est.quad.nodes[m]),
+                            _fmt(est.values[i, j, m]), _fmt(sd)])
+        written.append(path)
+    return written
+
+
+def emit_claw_curves(claw: ConditionalLawMatrix,
+                     selection: list[tuple[int, int]], out_dir,
+                     labels: list[str] | None = None) -> list[Path]:
+    """Per-pair conditional-law curves with error bars and pair counts."""
+    d = claw.dimension
+    labels = labels or [str(i) for i in range(d)]
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    written = []
+    edges = claw.grid.edges
+    for i, j in selection:
+        if not (0 <= i < d and 0 <= j < d):
+            raise IndexError(f"law index ({i}, {j}) outside dimension {d}")
+        path = out_dir / f"claw_curve_{labels[i]}_from_{labels[j]}.csv"
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(["bin_left", "bin_right", "value", "stderr", "pairs"])
+            for b in range(claw.grid.n_bins):
+                w.writerow([_fmt(edges[b]), _fmt(edges[b + 1]),
+                            _fmt(claw.values[i, j, b]),
+                            _fmt(claw.stderr[i, j, b]),
+                            int(claw.pair_counts[i, j, b])])
+        written.append(path)
+    return written
+
+
+def emit_flow_report(stats: FlowStatistics, out_dir,
+                     labels: list[str] | None = None) -> list[Path]:
+    """Duration histograms, signed volume histogram, autocorrelations and a
+    per-component count summary with percentage fractions."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    d = len(stats.mean_intensity)
+    labels = labels or [str(i) for i in range(d)]
+    written = []
+
+    path = out_dir / "duration_histogram.csv"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["bin_left", "bin_right", "pooled"] + list(labels))
+        for b in range(len(stats.duration_edges) - 1):
+            row = [_fmt(stats.duration_edges[b]), _fmt(stats.duration_edges[b + 1]),
+                   int(stats.pooled_duration_counts[b])]
+            row += [int(stats.duration_counts[i, b]) for i in range(d)]
+            w.writerow(row)
+    written.append(path)
+
+    # Table-style summary: events per component and their share of the total.
+    total = int(stats.event_counts.sum())
+    path = out_dir / "component_summary.csv"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["component", "events", "fraction_pct", "mean_intensity"])
+        for i in range(d):
+            frac = 100.0 * stats.event_counts[i] / total if total else 0.0
+            w.writerow([labels[i], int(stats.event_counts[i]), _fmt(frac),
+                        _fmt(stats.mean_intensity[i])])
+    written.append(path)
+
+    if stats.volume_histogram is not None:
+        path = out_dir / "volume_histogram.csv"
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(["signed_volume", "count"])
+            for vol, count in stats.volume_histogram.items():
+                w.writerow([vol, count])
+        written.append(path)
+
+    if stats.sign_autocorr is not None:
+        path = out_dir / "trade_autocorrelation.csv"
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(["lag", "sign_autocorr", "volume_autocorr"])
+            for k in range(len(stats.sign_autocorr)):
+                w.writerow([k, _fmt(stats.sign_autocorr[k]),
+                            _fmt(stats.volume_autocorr[k])])
+        written.append(path)
+    return written

@@ -73,6 +73,17 @@ class TestSimulateCommand:
         assert "baseline rates must be finite" in capsys.readouterr().err
 
 
+    def test_infinite_beta_in_model_file_exits_2(self, tmp_path, capsys):
+        # an infinite decay made every state NaN, and the run kept no event
+        path = tmp_path / "model.json"
+        path.write_text('{"dimension": 1, "flavor": "linear", "baseline": [1.0],'
+                        ' "kernels": [[{"type": "exponential", "alpha": 0.5,'
+                        ' "beta": Infinity}]]}')
+        code = main(["simulate", "--model", str(path), "--horizon", "10",
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "alpha and beta must be finite" in capsys.readouterr().err
+
 class TestEstimateCommand:
     def test_end_to_end_on_simulated_data(self, tmp_path, model_file):
         sim = run_simulate(tmp_path, model_file, horizon=5000.0)

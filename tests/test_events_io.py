@@ -7,11 +7,9 @@ from hawkesflow.events import (
     BinningMode,
     BinningScheme,
     EventType,
-    RecordFormat,
     RecordKind,
     Side,
     load_binning_scheme,
-    parse_records,
     read_event_csv,
     read_snapshot_csv,
     save_binning_scheme,
@@ -59,9 +57,8 @@ class TestEventCsv:
         write_event_csv(events, path)
         assert read_event_csv(path) == events
 
-    def test_parse_records_event_format(self):
-        events = parse_records(io.StringIO(EVENT_HEADER + "1000,T,a,5,12850\n"),
-                               RecordFormat.EVENT)
+    def test_event_lines_from_bytes(self):
+        events = read_event_csv((EVENT_HEADER + "1000,T,a,5,12850\n").encode())
         assert events[0].etype is EventType.TRADE
 
 

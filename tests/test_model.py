@@ -104,6 +104,18 @@ class TestKernels:
         # maxima of piecewise-linear segments sit on grid points
         assert k.upper_bound_from(1.5) >= k.value(1.5)
 
+    def test_tabulated_bound_is_sup_over_later_lags(self):
+        # a kernel that rises, dips below zero and peaks again
+        k = TabulatedKernel((0.0, 0.5, 1.0, 1.5, 2.0, 3.0),
+                            (0.2, 1.0, -0.3, 0.6, 0.1, 0.0))
+        taus = np.array([-1.0, 0.0, 0.25, 0.5, 0.7, 1.0, 1.2, 1.5, 1.9, 2.5, 3.0, 4.0])
+        fine = np.linspace(0.0, 3.0, 30001)
+        sup = [max(float(np.max(k.value(fine[fine >= max(tau, 0.0)]), initial=0.0)), 0.0)
+               for tau in taus]
+        bounds = k.upper_bound_from_vec(taus)
+        assert bounds.tolist() == [k.upper_bound_from(float(t)) for t in taus]
+        assert np.allclose(bounds, sup, atol=1e-12)
+
     def test_kernel_dict_roundtrip(self):
         kernels = [ZeroKernel(), ExponentialKernel(0.3, 7.0),
                    SumOfExponentialsKernel(((0.1, 2.0), (0.2, 9.0))),
@@ -176,6 +188,26 @@ class TestNonFiniteBaseline:
         with pytest.raises(ValueError, match="baseline rates must be finite"):
             HawkesModel.factorized(total, ExponentialKernel(0.3, 8.0),
                                    [1.0, 2.0], [0.5, 0.5])
+
+
+class TestNonFiniteKernelParameters:
+    @pytest.mark.parametrize("alpha, beta", [
+        (0.5, float("inf")), (0.5, float("nan")), (float("inf"), 2.0),
+        (float("-inf"), 2.0), (float("nan"), 2.0)])
+    def test_exponential_kernels_rejected(self, alpha, beta):
+        with pytest.raises(ValueError, match="alpha and beta must be finite"):
+            ExponentialKernel(alpha, beta)
+        with pytest.raises(ValueError, match="alpha and beta must be finite"):
+            SumOfExponentialsKernel(((0.2, 3.0), (alpha, beta)))
+
+    @pytest.mark.parametrize("spec", [
+        '{"type": "exponential", "alpha": 0.5, "beta": Infinity}',
+        '{"type": "exponential", "alpha": NaN, "beta": 2.0}',
+        '{"type": "sum_of_exponentials", "terms": [[0.2, 3.0], [0.1, Infinity]]}'])
+    def test_model_file_literals_rejected(self, spec):
+        # json accepts the Infinity and NaN literals
+        with pytest.raises(ValueError, match="alpha and beta must be finite"):
+            kernel_from_dict(json.loads(spec))
 
 
 class TestPointwiseNonnegativity:
