@@ -42,6 +42,15 @@ from .whsolve import build_quadrature, save_kernel_estimate, solve_wiener_hopf
 
 __all__ = ["main", "RunConfig"]
 
+_WEIGHTINGS = ("events", "sessions")
+# What a config file may give for each RunConfig annotation.  bool is
+# refused separately: Python counts it as an int.
+_CONFIG_TYPES = {
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "float | None": ((int, float, type(None)), "a number or null"),
+}
+
 
 @dataclass
 class RunConfig:
@@ -70,10 +79,25 @@ class RunConfig:
     def load(cls, path) -> "RunConfig":
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ParseError(f"{path}: config must be a JSON object")
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
             raise ParseError(f"unknown config keys: {sorted(unknown)}")
+        for f in fields(cls):
+            if f.name not in data:
+                continue
+            value = data[f.name]
+            if f.name == "weighting":
+                ok = value in _WEIGHTINGS
+                expected = f"one of {', '.join(_WEIGHTINGS)}"
+            else:
+                types, expected = _CONFIG_TYPES[f.type]
+                ok = isinstance(value, types) and not isinstance(value, bool)
+            if not ok:
+                raise ParseError(f"{path}: config key {f.name!r} takes {expected}, "
+                                 f"not {json.dumps(value)}")
         return cls(**data)
 
     def save(self, path) -> None:
@@ -345,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
                            type=float)
             p.add_argument("--randomize-jitter-us", dest="randomize_jitter_us",
                            type=float)
-            p.add_argument("--weighting", choices=["events", "sessions"],
+            p.add_argument("--weighting", choices=_WEIGHTINGS,
                            default=None)
             for name in ("h-min", "h-max", "x-min", "x-max"):
                 p.add_argument(f"--{name}", dest=name.replace("-", "_"),

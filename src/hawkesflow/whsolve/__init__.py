@@ -5,7 +5,6 @@ from .solver import (
     KernelEstimate,
     NegativityReport,
     exogeneity_ratios,
-    kernel_norms,
     recover_baseline,
     rescaled_norms,
     save_kernel_estimate,
@@ -15,7 +14,7 @@ from .solver import (
 
 __all__ = [
     "QuadratureGrid", "build_quadrature", "KernelEstimate",
-    "NegativityReport", "exogeneity_ratios", "kernel_norms",
-    "recover_baseline", "rescaled_norms", "save_kernel_estimate",
-    "solve_wiener_hopf", "verify_negativity_propagation",
+    "NegativityReport", "exogeneity_ratios", "recover_baseline",
+    "rescaled_norms", "save_kernel_estimate", "solve_wiener_hopf",
+    "verify_negativity_propagation",
 ]

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from hawkesflow.cli import main
+from hawkesflow.cli import RunConfig, main
+from hawkesflow.errors import ParseError
 from hawkesflow.simulate import ExponentialKernel, HawkesModel, save_model
 
 
@@ -135,6 +136,32 @@ class TestEstimateCommand:
                      "--dimension", "1", "--config", str(cfg),
                      "--out", str(tmp_path / "x")])
         assert code == 2
+
+    @pytest.mark.parametrize("key,value", [
+        ("h_max", "5"), ("n_log", 2.5), ("threads", True)])
+    def test_mistyped_config_value_rejected(self, tmp_path, model_file, capsys,
+                                            key, value):
+        sim = run_simulate(tmp_path, model_file)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: value}))
+        code = main(["estimate", "--input", str(sim / "events.csv"),
+                     "--dimension", "1", "--config", str(cfg),
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert repr(key) in err and str(cfg) in err
+        assert not (tmp_path / "x").exists()
+
+    def test_config_takes_int_for_float_and_null_for_optional(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"h_max": 2, "window_start": None,
+                                   "weighting": "sessions", "seed": 3}))
+        config = RunConfig.load(cfg)
+        assert (config.h_max, config.window_start, config.weighting,
+                config.seed) == (2, None, "sessions", 3)
+        cfg.write_text(json.dumps({"weighting": "rows"}))
+        with pytest.raises(ParseError, match="weighting"):
+            RunConfig.load(cfg)
 
 
 class TestReportCommand:

@@ -1,19 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from hawkesflow.errors import SolverError
 from hawkesflow.estimate import ConditionalLawMatrix, build_linlog_grid
 from hawkesflow.whsolve import (
     build_quadrature,
     exogeneity_ratios,
-    kernel_norms,
     recover_baseline,
     rescaled_norms,
     save_kernel_estimate,
     solve_wiener_hopf,
     verify_negativity_propagation,
 )
-from hawkesflow.whsolve.solver import _assemble_system
+from hawkesflow.whsolve.solver import _BLOCK_LEAF, _assemble_system, _block_inverse
 from oracles import (
     assemble_system,
     claw_matrix_from_samples,
@@ -46,6 +46,21 @@ def random_law(seed, lam, h_max=1.0):
 def assert_rel_close(actual, expected, rel=1e-12):
     scale = float(np.max(np.abs(expected)))
     assert float(np.max(np.abs(actual - expected))) <= rel * scale
+
+
+# Rates of the 12-component random law: the size of a full order book with
+# two volume bins, 1932 unknowns on the default quadrature.
+LAM_12D = np.linspace(0.4, 2.6, 12)
+
+
+@pytest.fixture(scope="module")
+def random_3d():
+    return random_law(3, [0.9, 1.6, 2.2])
+
+
+@pytest.fixture(scope="module")
+def random_12d():
+    return random_law(12, LAM_12D)
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +134,38 @@ class TestSolve:
             solve_wiener_hopf(oracle_1d, build_quadrature())
         assert err.value.diagnostics["condition_estimate"] == np.inf
 
+    def test_singular_leading_block_falls_back_to_pivoted_inverse(self):
+        # the first component's block of A is singular to working precision
+        # (condition ~1e19) while A is not: block elimination alone fails
+        grid = build_linlog_grid(h_min=1e-2, h_max=1.0, n_lin=5, n_log=20)
+        const = lambda c: (lambda t: np.full_like(t, c))
+        claw = ConditionalLawMatrix.from_function(
+            grid, [[const(-2.0), const(0.7)], [const(0.5), const(0.3)]],
+            [1.0, 1.0])
+        quad = build_quadrature()
+        assert 2 * quad.n_nodes > _BLOCK_LEAF
+        est = solve_wiener_hopf(claw, quad)
+        ref = lu_reference_solve(claw, quad)
+        assert_rel_close(est.values, ref["values"])
+        assert_rel_close(est.norms, ref["norms"])
+        assert_rel_close(est.stderr, ref["stderr"])
+        a, _ = assemble_system(claw, quad)
+        assert est.condition_estimate == pytest.approx(np.linalg.cond(a, 1),
+                                                       rel=1e-12)
+
+    def test_book_sized_law_needs_no_fallback(self, random_12d, monkeypatch):
+        sizes = []
+        inv = np.linalg.inv
+
+        def spy(a):
+            sizes.append(len(a))
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", spy)
+        est = solve_wiener_hopf(random_12d, build_quadrature())
+        assert len(est.values) * est.quad.n_nodes == 1932
+        assert sizes and max(sizes) <= _BLOCK_LEAF
+
     def test_stderr_propagation_shapes_and_positivity(self, oracle_1d):
         est = solve_wiener_hopf(oracle_1d, build_quadrature())
         assert est.stderr is not None
@@ -130,14 +177,18 @@ class TestSolve:
         assert np.array_equal(no_std.values, est.values)
 
 
+POSITIVE_RATE_LAWS = [
+    pytest.param([1.5], 1.0, id="d1"),
+    pytest.param([1.0, 2.5], 1.0, id="d2"),
+    pytest.param([0.8, 1.9, 3.1, 0.4], 1.0, id="d4"),
+    pytest.param([1.0, 2.5], 0.5, id="x_max-at-h_max"),
+]
+
+
 class TestAssembly:
-    @pytest.mark.parametrize("lam,h_max", [
-        ([1.5], 1.0),
-        ([1.0, 2.5], 1.0),
-        ([0.8, 1.9, 3.1, 0.4], 1.0),
-        ([1.3, 0.0, 0.7], 1.0),       # event-free component
-        ([1.0, 2.5], 0.5),            # x_max == h_max
-    ], ids=["d1", "d2", "d4", "event-free", "x_max-at-h_max"])
+    @pytest.mark.parametrize("lam,h_max", POSITIVE_RATE_LAWS + [
+        pytest.param([1.3, 0.0, 0.7], 1.0, id="event-free"),
+    ])
     def test_bit_identical_to_blockwise_assembly(self, lam, h_max):
         claw = random_law(len(lam), lam, h_max)
         quad = build_quadrature()
@@ -148,11 +199,23 @@ class TestAssembly:
         assert np.array_equal(a, a_ref)
         assert np.array_equal(b, b_ref)
 
+    @pytest.mark.parametrize("lam,h_max", POSITIVE_RATE_LAWS)
+    def test_rate_and_weight_scaling_symmetrizes_system(self, lam, h_max):
+        # time reversal: lam_j w_q A[(j,q),(k,m)] = lam_k w_m A[(k,m),(j,q)],
+        # the structure that block elimination of A relies on
+        claw = random_law(len(lam), lam, h_max)
+        quad = build_quadrature()
+        a, _ = _assemble_system(claw, quad)
+        s = np.sqrt(np.repeat(claw.lam, quad.n_nodes)
+                    * np.tile(quad.weights, claw.dimension))
+        sym = s[:, None] * a / s[None, :]
+        assert np.max(np.abs(sym - sym.T)) <= 1e-14 * np.max(np.abs(sym))
+
 
 class TestLUReference:
-    @pytest.mark.parametrize("law", ["oracle_1d", "random_3d"])
-    def test_matches_lu_path(self, law, oracle_1d):
-        claw = oracle_1d if law == "oracle_1d" else random_law(3, [0.9, 1.6, 2.2])
+    @pytest.mark.parametrize("law", ["oracle_1d", "random_3d", "random_12d"])
+    def test_matches_lu_path(self, law, request):
+        claw = request.getfixturevalue(law)
         quad = build_quadrature()
         est = solve_wiener_hopf(claw, quad)
         ref = lu_reference_solve(claw, quad)
@@ -163,24 +226,33 @@ class TestLUReference:
         assert est.condition_estimate == pytest.approx(np.linalg.cond(a, 1),
                                                        rel=1e-12)
 
+    @given(n=st.integers(1, 700), leaf=st.sampled_from([1, 7, 64]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_block_inverse_matches_lapack(self, n, leaf, seed):
+        # I + E with ||E||_2 about 1/2: every leading block and Schur
+        # complement is well conditioned too
+        rng = np.random.default_rng(seed)
+        a = np.eye(n) + 0.25 * rng.standard_normal((n, n)) / np.sqrt(n)
+        assert_rel_close(_block_inverse(a, leaf), np.linalg.inv(a))
+
 
 class TestDerivedQuantities:
     def test_norms_of_zero_kernel(self):
         quad = build_quadrature()
         values = np.zeros((2, 2, quad.n_nodes))
-        assert np.all(kernel_norms(values, quad) == 0.0)
+        assert np.all(values @ quad.weights == 0.0)
 
     def test_constant_kernel_rectangle_rule(self):
         quad = build_quadrature()
         values = np.full((1, 1, quad.n_nodes), 3.0)
-        assert kernel_norms(values, quad)[0, 0] == pytest.approx(
+        assert (values @ quad.weights)[0, 0] == pytest.approx(
             3.0 * quad.x_max, rel=1e-12)
 
     def test_exponential_tabulation_closed_form(self):
         quad = build_quadrature()
         values = (0.5 * 10.0 * np.exp(-10.0 * quad.nodes))[None, None, :]
         expected = 0.5 * (1 - np.exp(-10.0 * quad.x_max))
-        assert kernel_norms(values, quad)[0, 0] == pytest.approx(
+        assert (values @ quad.weights)[0, 0] == pytest.approx(
             expected, abs=1e-3)
 
     def test_rescaled_norms_trivial_and_scaling(self):
