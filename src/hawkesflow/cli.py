@@ -130,9 +130,9 @@ def _events_from_stream(stream: MultivariateEventStream,
         tagged = []
         for comp, t in enumerate(sess.times):
             us = np.round(t / MICROSECOND).astype(np.int64)
-            for k in range(1, len(us)):
-                if us[k] <= us[k - 1]:
-                    us[k] = us[k - 1] + 1
+            # us[k] = max(us[k], us[k-1] + 1) as a running maximum
+            k = np.arange(len(us))
+            us = np.maximum.accumulate(us - k) + k
             etype, side, volume = scheme.event_template(comp)
             tagged.extend((int(u), comp, etype, side, volume) for u in us)
         tagged.sort(key=lambda r: (r[0], r[1]))
@@ -141,14 +141,13 @@ def _events_from_stream(stream: MultivariateEventStream,
     return out
 
 
-def _ingest(paths: list[str], scheme: BinningScheme, duration: float | None,
-            threads: int = 1) -> tuple[MultivariateEventStream,
-                                       list[list[OrderEvent]]]:
-    """Read session files (in parallel when asked) and map them onto
-    components.  A metadata sidecar, when present, supplies the session
-    duration and cross-checks the scheme dimension.  Without ``duration``,
-    files that share one sidecar are rejected: they would all get its
-    horizon, whatever their own length."""
+def _ingest(paths: list[str], scheme: BinningScheme, duration: float | None
+            ) -> tuple[MultivariateEventStream, list[list[OrderEvent]]]:
+    """Read session files and map them onto components.  A metadata
+    sidecar, when present, supplies the session duration and cross-checks
+    the scheme dimension.  Without ``duration``, files that share one
+    sidecar are rejected: they would all get its horizon, whatever their
+    own length."""
     if duration is None:
         by_sidecar: dict[Path, list[str]] = {}
         for path in paths:
@@ -162,8 +161,7 @@ def _ingest(paths: list[str], scheme: BinningScheme, duration: float | None,
                     f"{sidecar}; put each session in its own directory or "
                     f"give --duration")
 
-    def load_one(idx_path):
-        idx, path = idx_path
+    def load_one(idx, path):
         events = read_event_csv(path)
         sidecar = Path(path).with_name("metadata.json")
         sess_duration = duration
@@ -181,13 +179,7 @@ def _ingest(paths: list[str], scheme: BinningScheme, duration: float | None,
                                    session_id=f"session-{idx}")
         return stream, events
 
-    items = list(enumerate(paths))
-    if threads > 1 and len(items) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            loaded = list(pool.map(load_one, items))
-    else:
-        loaded = [load_one(item) for item in items]
+    loaded = [load_one(idx, path) for idx, path in enumerate(paths)]
     return (combine_streams([s for s, _ in loaded]),
             [ev for _, ev in loaded])
 
@@ -203,8 +195,7 @@ def _resolve_scheme(args) -> BinningScheme:
 
 def _prepare_stream(args, config: RunConfig):
     scheme = _resolve_scheme(args)
-    stream, events = _ingest(args.input, scheme, getattr(args, "duration", None),
-                             threads=config.threads)
+    stream, events = _ingest(args.input, scheme, getattr(args, "duration", None))
     if config.window_start is not None or config.window_end is not None:
         start = config.window_start or 0.0
         end = config.window_end

@@ -3,7 +3,6 @@
 from ..grids import LinLogGrid, build_linlog_grid
 from .claw import (
     ConditionalLawMatrix,
-    conditional_law_at_negative_lag,
     estimate_conditional_law,
     estimate_mean_intensity,
     load_claw,
@@ -12,6 +11,6 @@ from .claw import (
 
 __all__ = [
     "LinLogGrid", "build_linlog_grid", "ConditionalLawMatrix",
-    "conditional_law_at_negative_lag", "estimate_conditional_law",
-    "estimate_mean_intensity", "load_claw", "save_claw",
+    "estimate_conditional_law", "estimate_mean_intensity", "load_claw",
+    "save_claw",
 ]

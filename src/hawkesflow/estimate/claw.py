@@ -35,7 +35,6 @@ __all__ = [
     "ConditionalLawMatrix",
     "estimate_mean_intensity",
     "estimate_conditional_law",
-    "conditional_law_at_negative_lag",
     "save_claw",
     "load_claw",
 ]
@@ -78,56 +77,42 @@ class ConditionalLawMatrix:
         """(D, B) mask per source component: True where data exists."""
         return self.admissible > 0
 
-    def _bin_values(self, i: int, j: int, lags: np.ndarray,
-                    arr: np.ndarray) -> np.ndarray:
-        idx = self.grid.bin_index(lags)
-        ok = idx >= 0
-        out = np.zeros(lags.shape)
-        out[ok] = arr[i, j][idx[ok]]
-        return out
+    def at_lags(self, lags, zero: str = "average", stderr: bool = False):
+        """Piecewise-constant lookup of the law at signed lags: for each
+        source j in turn, yield the ``(D, *lags.shape)`` array whose row k
+        is the (k <- j) law (its standard error with ``stderr=True``).
 
-    def value_at_lag(self, i: int, j: int, lags, zero: str = "average") -> np.ndarray:
-        """Piecewise-constant lookup of the (i <- j) law at signed lags.
-
-        Negative lags use the time-reversal identity.  At exactly zero,
-        ``zero="average"`` blends the two one-sided first bins (suited to a
-        quadrature point sitting on the jump) while ``zero="right"``
-        returns the right limit.
+        Negative lags use the time-reversal identity
+        g[k,j](-t) = (lam_k / lam_j) g[j,k](t); an event-free source has an
+        identically zero law, so its reflected part is zero rather than 0/0.
+        At exactly zero, ``zero="average"`` blends the two one-sided first
+        bins (suited to a quadrature point sitting on the jump) while
+        ``zero="right"`` returns the right limit.  Lags past ``h_max`` read
+        zero.
         """
+        if zero not in ("average", "right"):
+            raise ValueError(f"unknown lag-zero convention {zero!r}")
         lags = np.asarray(lags, dtype=float)
-        out = np.zeros(lags.shape)
-        pos = lags > 0
-        neg = lags < 0
-        zer = ~pos & ~neg
-        out[pos] = self._bin_values(i, j, lags[pos], self.values)
-        # an event-free conditioning component has an identically zero law,
-        # so its reflected contribution is zero rather than 0/0
-        if neg.any() and self.lam[j] > 0:
-            ratio = self.lam[i] / self.lam[j]
-            out[neg] = ratio * self._bin_values(j, i, -lags[neg], self.values)
-        if zer.any():
-            right = self.values[i, j, 0]
-            if zero == "right" or self.lam[j] == 0:
-                out[zer] = right
-            else:
-                left = self.lam[i] / self.lam[j] * self.values[j, i, 0]
-                out[zer] = 0.5 * (right + left)
-        return out
-
-    def stderr_at_lag(self, i: int, j: int, lags) -> np.ndarray:
-        """First-order standard error matching ``value_at_lag`` lookups."""
-        lags = np.asarray(lags, dtype=float)
-        out = np.zeros(lags.shape)
-        pos = lags > 0
-        neg = lags < 0
-        zer = ~pos & ~neg
-        out[pos] = self._bin_values(i, j, lags[pos], self.stderr)
-        if neg.any() and self.lam[j] > 0:
-            ratio = self.lam[i] / self.lam[j]
-            out[neg] = ratio * self._bin_values(j, i, -lags[neg], self.stderr)
-        if zer.any():
-            out[zer] = self.stderr[i, j, 0]
-        return out
+        table = self.stderr if stderr else self.values
+        d, n = self.dimension, self.grid.n_bins
+        # For each source, cols holds one row per target: columns 0..n-1 are
+        # the bins at positive lags, n..2n-1 the reflected bins at negative
+        # lags, 2n a zero for lags past h_max and 2n+1 the value at lag
+        # zero; idx picks the column of every lag, once for all sources.
+        bins = self.grid.bin_index(np.abs(lags))
+        idx = np.where(bins < 0, 2 * n, bins + n * (lags < 0))
+        idx[lags == 0] = 2 * n + 1
+        cols = np.zeros((d, 2 * n + 2))
+        for j in range(d):
+            cols[:, :n] = table[:, j]
+            cols[:, n:2 * n] = 0.0
+            cols[:, 2 * n + 1] = table[:, j, 0]
+            if self.lam[j] > 0:
+                ratio = self.lam / self.lam[j]
+                cols[:, n:2 * n] = ratio[:, None] * table[j]
+                if zero == "average":
+                    cols[:, 2 * n + 1] = 0.5 * (table[:, j, 0] + ratio * table[j, :, 0])
+            yield cols[:, idx]
 
     @classmethod
     def from_function(cls, grid: LinLogGrid, func, lam,
@@ -152,20 +137,6 @@ class ConditionalLawMatrix:
         adm = np.full((d, b), 10 ** 12, dtype=np.int64)
         return cls(grid, values, np.zeros((d, d, b)), big, adm, lam,
                    total_time=1.0, meta={"synthetic": True})
-
-
-def conditional_law_at_negative_lag(claw: ConditionalLawMatrix, i: int, j: int,
-                                    bin_index: int) -> float:
-    """Value of the (i <- j) law at the mirrored negative lag of a bin.
-
-    The stationary covariance density obeys C^{ij}(-t) = C^{ji}(t) and the
-    law divides it by the conditioning component's rate, so
-    g^{ij}(-t) = (lam_i / lam_j) g^{ji}(t).
-    """
-    if claw.lam[i] == 0 or claw.lam[j] == 0:
-        raise ZeroDivisionError(
-            "negative-lag law undefined: a conditioning rate is zero")
-    return float(claw.lam[i] / claw.lam[j] * claw.values[j, i, bin_index])
 
 
 # Pieces of the flat index ranges below are expanded this many elements at

@@ -109,7 +109,8 @@ def randomize_timestamps(stream: MultivariateEventStream, round_to_us: float,
     independent uniform draw from ``[0, jitter_width_us)``.
 
     Deterministic given the seed.  Negative results are clamped to zero and
-    counted in the session metadata.
+    counted in the session metadata.  Ties are nudged apart by one ulp, and
+    results past the session end are pulled back to it in strict order.
     """
     if round_to_us <= 0:
         raise ValueError("round_to_us must be positive")
@@ -129,10 +130,10 @@ def randomize_timestamps(stream: MultivariateEventStream, round_to_us: float,
             clamped += int(below.sum())
             rounded[below] = 0.0
             sec = np.sort(rounded * MICROSECOND)
-            sec = np.minimum(sec, sess.duration)
             if len(sec) > 1 and np.any(np.diff(sec) <= 0):
                 sec = _strictly_increasing(sec)
-            new_times.append(sec)
+            # rounding may carry events past the session end
+            new_times.append(_cap_strict(sec, sess.duration))
         meta = dict(sess.meta)
         meta.update(randomize_round_to_us=round_to_us,
                     randomize_jitter_us=jitter_width_us,

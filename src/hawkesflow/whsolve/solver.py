@@ -123,15 +123,12 @@ def exogeneity_ratios(baseline: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return _divide_by_rate(100.0 * np.asarray(baseline, dtype=float), lam)
 
 
-def _node_bins(claw: ConditionalLawMatrix, nodes: np.ndarray) -> np.ndarray:
-    """Law bin at each quadrature node, the first bin (right limit) at node
-    0 and -1 past the law's range."""
-    return np.where(nodes == 0, 0, claw.grid.bin_index(nodes))
-
-
-def _padded(arr: np.ndarray) -> np.ndarray:
-    """``arr`` with a trailing zero bin, so that bin -1 reads as 0."""
-    return np.concatenate([arr, np.zeros(arr.shape[:-1] + (1,))], axis=-1)
+def _at_nodes(claw: ConditionalLawMatrix, nodes: np.ndarray,
+              stderr: bool = False) -> np.ndarray:
+    """Right-hand-side layout of the law at the nodes, right limit at node
+    0: row (j, q), column i holds g[i, j](x_q), or its standard error."""
+    return np.concatenate([g.T for g in claw.at_lags(nodes, zero="right",
+                                                        stderr=stderr)])
 
 
 def _assemble_system(claw: ConditionalLawMatrix,
@@ -139,43 +136,21 @@ def _assemble_system(claw: ConditionalLawMatrix,
     """System matrix and right-hand sides, one RHS column per target row.
 
     Row blocks are indexed by (source j, node q), column blocks by the
-    unknowns (source k, node m):  A[(j,q),(k,m)] = delta + w_m g[k,j](x_q - x_m).
-    Every block reads the law at the same lags, so their bins are found
-    once.  Lookups follow ``ConditionalLawMatrix.value_at_lag``: negative
-    lags by time reversal, the average of both one-sided first bins at lag
-    zero in A, and the right limit at the first node in b.
+    unknowns (source k, node m):  A[(j,q),(k,m)] = delta + w_m g[k,j](x_q - x_m),
+    with the average of both one-sided first bins at lag zero.  Each row
+    block is one lookup of every (k <- j) law; b takes the right limit at
+    the first node.
     """
     d = claw.dimension
     q = quad.n_nodes
-    nodes = quad.nodes
-    lam = claw.lam
-    vals = _padded(claw.values)
-    lag = nodes[:, None] - nodes[None, :]
-    neg = lag < 0
-    zer = lag == 0
-    pos_bin = claw.grid.bin_index(lag)    # -1 unless lag > 0
-    neg_bin = claw.grid.bin_index(-lag)   # -1 unless lag < 0
-    a = np.zeros((d * q, d * q))
+    lag = quad.nodes[:, None] - quad.nodes[None, :]
+    a = np.empty((d, q, d, q))
     eye = np.eye(q)
-    for j in range(d):
-        for k in range(d):
-            g = vals[k, j][pos_bin]
-            right = vals[k, j, 0]
-            # an event-free conditioning component has an identically zero
-            # law, so its reflected contribution is zero rather than 0/0
-            if lam[j] > 0:
-                ratio = lam[k] / lam[j]
-                g = np.where(neg, ratio * vals[j, k][neg_bin], g)
-                g[zer] = 0.5 * (right + ratio * vals[j, k, 0])
-            else:
-                g[zer] = right
-            block = quad.weights[None, :] * g
-            if j == k:
-                block = block + eye
-            a[j * q:(j + 1) * q, k * q:(k + 1) * q] = block
-    # b[(j, q), i] = g[i, j](x_q)
-    b = vals[:, :, _node_bins(claw, nodes)].transpose(1, 2, 0).reshape(d * q, d)
-    return a, b
+    for j, g in enumerate(claw.at_lags(lag)):
+        g *= quad.weights
+        g[j] += eye
+        a[j] = g.transpose(1, 0, 2)
+    return a.reshape(d * q, d * q), _at_nodes(claw, quad.nodes)
 
 
 def _block_inverse(a: np.ndarray, leaf: int = _BLOCK_LEAF) -> np.ndarray:
@@ -275,10 +250,7 @@ def solve_wiener_hopf(claw: ConditionalLawMatrix,
 
     stderr = None
     if compute_stderr:
-        # var_b[(j, q), i] = stderr of g[i, j](x_q), squared; lag-0 lookups
-        # take the right limit, as b does
-        errs = _padded(claw.stderr)[:, :, _node_bins(claw, quad.nodes)]
-        var_b = (errs ** 2).transpose(1, 2, 0).reshape(d * q, d)
+        var_b = _at_nodes(claw, quad.nodes, stderr=True) ** 2
         var = (inv ** 2) @ var_b
         stderr = np.sqrt(np.maximum(var, 0.0)).T.reshape(d, d, q)
 

@@ -5,11 +5,14 @@ the conditional law of a known kernel matrix is obtained by forward
 fixed-point iteration of the defining integral equation on a fine uniform
 grid with FFT convolutions, and small dense solves are written out
 longhand where a test needs a second opinion on the Nystrom system.  The
-solver's former block-by-block assembly and its LU path through
-``scipy.linalg`` serve as references for the numpy-only solve.  The
-simulator's former exponential-state and windowed-history thinning loops
-serve as references for its single loop, and compensator increments give
-the time-rescaling check of simulated streams.  The former row-by-row CSV
+former per-pair lag lookups ``value_at_lag`` and ``stderr_at_lag``, the
+solver's former block-by-block assembly built on them and its LU path
+through ``scipy.linalg`` serve as references for the one vectorized law
+lookup and the numpy-only solve.  The simulator's former
+exponential-state and windowed-history thinning loops serve as references
+for its single loop, the former microsecond collision loop for its
+cumulative-maximum form, and compensator increments give the
+time-rescaling check of simulated streams.  The former row-by-row CSV
 writers of laws, kernels and reports are the byte-level reference for the
 column-formatted table writer.
 """
@@ -161,6 +164,61 @@ def brute_force_pair_counts(t_i: np.ndarray, t_j: np.ndarray, duration: float,
     return pairs, adm
 
 
+def _bin_values(claw, i: int, j: int, lags: np.ndarray,
+                arr: np.ndarray) -> np.ndarray:
+    idx = claw.grid.bin_index(lags)
+    ok = idx >= 0
+    out = np.zeros(lags.shape)
+    out[ok] = arr[i, j][idx[ok]]
+    return out
+
+
+def value_at_lag(claw, i: int, j: int, lags, zero: str = "average") -> np.ndarray:
+    """Piecewise-constant lookup of the (i <- j) law at signed lags.
+
+    Negative lags use the time-reversal identity.  At exactly zero,
+    ``zero="average"`` blends the two one-sided first bins (suited to a
+    quadrature point sitting on the jump) while ``zero="right"`` returns
+    the right limit.  The former ``ConditionalLawMatrix.value_at_lag``.
+    """
+    lags = np.asarray(lags, dtype=float)
+    out = np.zeros(lags.shape)
+    pos = lags > 0
+    neg = lags < 0
+    zer = ~pos & ~neg
+    out[pos] = _bin_values(claw, i, j, lags[pos], claw.values)
+    # an event-free conditioning component has an identically zero law,
+    # so its reflected contribution is zero rather than 0/0
+    if neg.any() and claw.lam[j] > 0:
+        ratio = claw.lam[i] / claw.lam[j]
+        out[neg] = ratio * _bin_values(claw, j, i, -lags[neg], claw.values)
+    if zer.any():
+        right = claw.values[i, j, 0]
+        if zero == "right" or claw.lam[j] == 0:
+            out[zer] = right
+        else:
+            left = claw.lam[i] / claw.lam[j] * claw.values[j, i, 0]
+            out[zer] = 0.5 * (right + left)
+    return out
+
+
+def stderr_at_lag(claw, i: int, j: int, lags) -> np.ndarray:
+    """First-order standard error matching ``value_at_lag`` lookups.  The
+    former ``ConditionalLawMatrix.stderr_at_lag``."""
+    lags = np.asarray(lags, dtype=float)
+    out = np.zeros(lags.shape)
+    pos = lags > 0
+    neg = lags < 0
+    zer = ~pos & ~neg
+    out[pos] = _bin_values(claw, i, j, lags[pos], claw.stderr)
+    if neg.any() and claw.lam[j] > 0:
+        ratio = claw.lam[i] / claw.lam[j]
+        out[neg] = ratio * _bin_values(claw, j, i, -lags[neg], claw.stderr)
+    if zer.any():
+        out[zer] = claw.stderr[i, j, 0]
+    return out
+
+
 def assemble_system(claw, quad) -> tuple[np.ndarray, np.ndarray]:
     """The Nystrom system as the solver formerly built it: one
     ``value_at_lag`` lookup per block, A[(j,q),(k,m)] = delta +
@@ -173,15 +231,27 @@ def assemble_system(claw, quad) -> tuple[np.ndarray, np.ndarray]:
     eye = np.eye(q)
     for j in range(d):
         for k in range(d):
-            block = quad.weights[None, :] * claw.value_at_lag(k, j, lag)
+            block = quad.weights[None, :] * value_at_lag(claw, k, j, lag)
             if j == k:
                 block = block + eye
             a[j * q:(j + 1) * q, k * q:(k + 1) * q] = block
     b = np.zeros((d * q, d))
     for i in range(d):
         for j in range(d):
-            b[j * q:(j + 1) * q, i] = claw.value_at_lag(i, j, nodes, zero="right")
+            b[j * q:(j + 1) * q, i] = value_at_lag(claw, i, j, nodes, zero="right")
     return a, b
+
+
+def gathered_variance(claw, quad) -> np.ndarray:
+    """The solver's former gather of the squared law standard errors at the
+    nodes, var_b[(j, q), i]: bin 0 (the right limit) at node 0 and a padded
+    zero bin past the law's range."""
+    d = claw.dimension
+    q = quad.n_nodes
+    padded = np.concatenate([claw.stderr, np.zeros((d, d, 1))], axis=-1)
+    bins = np.where(quad.nodes == 0, 0, claw.grid.bin_index(quad.nodes))
+    errs = padded[:, :, bins]
+    return (errs ** 2).transpose(1, 2, 0).reshape(d * q, d)
 
 
 def lu_reference_solve(claw, quad) -> dict:
@@ -204,7 +274,7 @@ def lu_reference_solve(claw, quad) -> dict:
     stderr = np.empty((d, d, q))
     for i in range(d):
         var_b = np.concatenate([
-            claw.stderr_at_lag(i, j, quad.nodes) ** 2 for j in range(d)])
+            stderr_at_lag(claw, i, j, quad.nodes) ** 2 for j in range(d)])
         stderr[i, :, :] = np.sqrt(np.maximum(inv_sq @ var_b, 0.0)).reshape(d, q)
     return {"values": values, "norms": values @ quad.weights, "stderr": stderr,
             "condition": np.inf if rcond == 0 else 1.0 / rcond}
@@ -354,6 +424,17 @@ def _simulate_generic(model: HawkesModel, total_time: float,
             times[comp].append(t)
             hist[comp].append(t)
     return times, candidates, clipped
+
+
+def bump_collisions(us: np.ndarray) -> np.ndarray:
+    """The former microsecond collision loop of ``cli._events_from_stream``:
+    each timestamp of one component is raised to one past its predecessor
+    when it does not exceed it."""
+    us = us.copy()
+    for k in range(1, len(us)):
+        if us[k] <= us[k - 1]:
+            us[k] = us[k - 1] + 1
+    return us
 
 
 def compensator_increments(model: HawkesModel, stream,

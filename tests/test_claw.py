@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from hawkesflow.estimate import (
+    ConditionalLawMatrix,
     build_linlog_grid,
-    conditional_law_at_negative_lag,
     estimate_conditional_law,
     estimate_mean_intensity,
     load_claw,
@@ -16,13 +16,29 @@ from hawkesflow.simulate import (
     ZeroKernel,
     simulate,
 )
-from oracles import direct_negative_lag_counts, fixed_point_claw
+from oracles import (
+    direct_negative_lag_counts,
+    fixed_point_claw,
+    stderr_at_lag,
+    value_at_lag,
+)
 
 
 def stream_of(times_lists, duration, session_id="s"):
     arrays = tuple(np.asarray(t, dtype=float) for t in times_lists)
     return MultivariateEventStream(len(arrays),
                                    (Session(session_id, duration, arrays),))
+
+
+def law_at(claw, i, j, lags, **kwargs):
+    """The (i <- j) law at ``lags`` through the one lookup."""
+    return list(claw.at_lags(np.asarray(lags, dtype=float), **kwargs))[j][i]
+
+
+def bin_midpoints(grid):
+    mid = 0.5 * (grid.edges[:-1] + grid.edges[1:])
+    assert np.array_equal(grid.bin_index(mid), np.arange(grid.n_bins))
+    return mid
 
 
 class TestMeanIntensity:
@@ -122,28 +138,22 @@ class TestConditionalLaw:
         lam = claw.lam
         direct = counts / (widths * np.maximum(adm, 1)) - lam[0]
         se_direct = np.sqrt(np.maximum(counts, 1)) / (widths * np.maximum(adm, 1))
+        mid = bin_midpoints(grid)
+        identity = law_at(claw, 0, 1, -mid)
+        se_id = law_at(claw, 0, 1, -mid, stderr=True)
         for b in range(grid.n_bins):
             if adm[b] == 0 or claw.pair_counts[1, 0][b] < 20:
                 continue
-            identity = conditional_law_at_negative_lag(claw, 0, 1, b)
-            se_id = lam[0] / lam[1] * claw.stderr[1, 0][b]
-            tol = 4.0 * np.hypot(se_id, se_direct[b])
-            assert abs(identity - direct[b]) <= tol
+            tol = 4.0 * np.hypot(se_id[b], se_direct[b])
+            assert abs(identity[b] - direct[b]) <= tol
 
     def test_diagonal_negative_lag_is_symmetric(self):
         stream = stream_of([np.linspace(0.5, 9.5, 30)], 10.0)
         grid = build_linlog_grid(h_min=0.01, h_max=2.0, n_lin=5, n_log=20)
         claw = estimate_conditional_law(stream, grid)
-        for b in (0, 5, 10):
-            assert conditional_law_at_negative_lag(claw, 0, 0, b) \
-                == pytest.approx(claw.values[0, 0, b])
-
-    def test_negative_lag_requires_positive_rate(self):
-        stream = stream_of([[1.0], []], 10.0)
-        grid = build_linlog_grid(h_min=0.01, h_max=1.0, n_lin=5, n_log=10)
-        claw = estimate_conditional_law(stream, grid)
-        with pytest.raises(ZeroDivisionError):
-            conditional_law_at_negative_lag(claw, 1, 0, 0)
+        bins = [0, 5, 10]
+        mirrored = law_at(claw, 0, 0, -bin_midpoints(grid)[bins])
+        assert mirrored == pytest.approx(claw.values[0, 0, bins])
 
     def test_session_splitting_does_not_bias(self):
         model = HawkesModel.linear([1.0], [[ExponentialKernel(0.4, 8.0)]])
@@ -201,28 +211,52 @@ class TestLagLookup:
         # bins (0,.5], (.5,1], (1,e], (e,e^2]
         funcs = [[lambda t: np.full_like(t, 2.0), lambda t: np.full_like(t, 3.0)],
                  [lambda t: np.full_like(t, 5.0), lambda t: np.full_like(t, 7.0)]]
-        from hawkesflow.estimate import ConditionalLawMatrix
         return ConditionalLawMatrix.from_function(grid, funcs, [1.0, 2.0])
 
     def test_positive_lag_lookup(self):
         claw = self.make_claw()
-        assert claw.value_at_lag(0, 1, np.array([0.3]))[0] == pytest.approx(3.0)
+        assert law_at(claw, 0, 1, [0.3])[0] == pytest.approx(3.0)
 
     def test_negative_lag_uses_time_reversal(self):
         claw = self.make_claw()
         # g^{01}(-t) = (lam_0/lam_1) g^{10}(t) = 0.5 * 5
-        assert claw.value_at_lag(0, 1, np.array([-0.3]))[0] == pytest.approx(2.5)
+        assert law_at(claw, 0, 1, [-0.3])[0] == pytest.approx(2.5)
 
     def test_zero_lag_conventions(self):
         claw = self.make_claw()
-        avg = claw.value_at_lag(0, 1, np.array([0.0]), zero="average")[0]
-        right = claw.value_at_lag(0, 1, np.array([0.0]), zero="right")[0]
+        avg = law_at(claw, 0, 1, [0.0], zero="average")[0]
+        right = law_at(claw, 0, 1, [0.0], zero="right")[0]
         assert right == pytest.approx(3.0)
         assert avg == pytest.approx(0.5 * (3.0 + 2.5))
+        with pytest.raises(ValueError):
+            law_at(claw, 0, 1, [0.0], zero="left")
 
     def test_out_of_range_lag_is_zero(self):
         claw = self.make_claw()
-        assert claw.value_at_lag(0, 0, np.array([100.0]))[0] == 0.0
+        assert law_at(claw, 0, 0, [100.0])[0] == 0.0
+
+    @pytest.mark.parametrize("lam", [[0.8, 1.7, 2.4], [1.3, 0.0, 0.7]],
+                             ids=["positive-rates", "event-free"])
+    def test_bit_identical_to_former_lookups(self, lam):
+        rng = np.random.default_rng(5)
+        grid = build_linlog_grid(h_min=1e-2, h_max=1.0, n_lin=10, n_log=30)
+        d, b = len(lam), grid.n_bins
+        claw = ConditionalLawMatrix(
+            grid, rng.normal(0.0, 0.3, (d, d, b)), rng.uniform(0.0, 0.1, (d, d, b)),
+            np.zeros((d, d, b), dtype=np.int64), np.ones((d, b), dtype=np.int64),
+            np.asarray(lam), total_time=1.0)
+        # both signs, lag zero, bin edges and lags past h_max
+        lags = np.concatenate([rng.uniform(-1.5, 1.5, 199), [0.0, 1.0, -1.0],
+                               grid.edges[:5], -grid.edges[:5]]).reshape(4, -1)
+        for j, (avg, right, err) in enumerate(zip(
+                claw.at_lags(lags), claw.at_lags(lags, zero="right"),
+                claw.at_lags(lags, zero="right", stderr=True))):
+            assert avg.shape == right.shape == err.shape == (d,) + lags.shape
+            for i in range(d):
+                assert avg[i].tobytes() == value_at_lag(claw, i, j, lags).tobytes()
+                assert right[i].tobytes() == value_at_lag(
+                    claw, i, j, lags, zero="right").tobytes()
+                assert err[i].tobytes() == stderr_at_lag(claw, i, j, lags).tobytes()
 
 
 class TestSerialization:

@@ -1,14 +1,27 @@
+import inspect
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from hawkesflow.cli import RunConfig, main
+from hawkesflow.cli import RunConfig, _events_from_stream, main
 from hawkesflow.errors import ParseError
+from hawkesflow.estimate import estimate_conditional_law
+from hawkesflow.events import (
+    BinningScheme,
+    MultivariateEventStream,
+    Session,
+    assign_components,
+    flow_statistics,
+)
+from hawkesflow.events.types import MICROSECOND
 from hawkesflow.simulate import ExponentialKernel, HawkesModel, save_model
+from oracles import bump_collisions
 
 
 @pytest.fixture()
@@ -84,6 +97,43 @@ class TestSimulateCommand:
                      "--out", str(tmp_path / "o")])
         assert code == 2
         assert "alpha and beta must be finite" in capsys.readouterr().err
+
+class TestEventsFromStream:
+    # steps of 0.3 us put up to four events on one rounded microsecond
+    @given(st.lists(st.lists(st.integers(0, 3000), max_size=60, unique=True),
+                    min_size=1, max_size=3))
+    def test_collision_bump_matches_former_loop(self, steps):
+        times = tuple(np.sort(np.array(c, dtype=float)) * 0.3e-6 for c in steps)
+        stream = MultivariateEventStream(len(times), (Session("s", 1.0, times),))
+        scheme = BinningScheme.canonical(len(times))
+        events = _events_from_stream(stream, scheme)[0]
+        stamps = [e.timestamp_us for e in events]
+        assert stamps == sorted(stamps)
+        for comp, t in enumerate(times):
+            expected = bump_collisions(np.round(t / MICROSECOND).astype(np.int64))
+            got = [e.timestamp_us for e in events if e.volume == comp + 1]
+            assert got == expected.tolist()
+
+
+class TestBenchmarkCallSignatures:
+    """perfbench's traced replicas call these functions directly; a changed
+    signature fails here rather than only in a traced benchmark run."""
+
+    @pytest.mark.parametrize("func,args,kwargs", [
+        pytest.param(estimate_conditional_law, ("stream", "grid"),
+                     {"weighting": "events", "workers": 1},
+                     id="estimate_conditional_law"),
+        pytest.param(RunConfig, (), {"threads": 1}, id="RunConfig"),
+        pytest.param(_events_from_stream, ("stream", "scheme"), {},
+                     id="_events_from_stream"),
+        pytest.param(flow_statistics, ("stream",), {"events_by_session": []},
+                     id="flow_statistics"),
+        pytest.param(assign_components, ("events", "scheme", 1.0),
+                     {"session_id": "session-0"}, id="assign_components"),
+    ])
+    def test_call_binds(self, func, args, kwargs):
+        inspect.signature(func).bind(*args, **kwargs)
+
 
 class TestEstimateCommand:
     def test_end_to_end_on_simulated_data(self, tmp_path, model_file):

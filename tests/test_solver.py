@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hawkesflow.errors import SolverError
-from hawkesflow.estimate import ConditionalLawMatrix, build_linlog_grid
+from hawkesflow.estimate import (
+    ConditionalLawMatrix,
+    build_linlog_grid,
+    estimate_conditional_law,
+)
+from hawkesflow.events import MultivariateEventStream, Session
+from hawkesflow.simulate import ExponentialKernel, HawkesModel, ZeroKernel, simulate
 from hawkesflow.whsolve import (
     build_quadrature,
     exogeneity_ratios,
@@ -13,12 +19,20 @@ from hawkesflow.whsolve import (
     solve_wiener_hopf,
     verify_negativity_propagation,
 )
-from hawkesflow.whsolve.solver import _BLOCK_LEAF, _assemble_system, _block_inverse
+from hawkesflow.whsolve.solver import (
+    _BLOCK_LEAF,
+    _assemble_system,
+    _at_nodes,
+    _block_inverse,
+)
 from oracles import (
     assemble_system,
     claw_matrix_from_samples,
     fixed_point_claw,
+    gathered_variance,
     lu_reference_solve,
+    stderr_at_lag,
+    value_at_lag,
 )
 
 
@@ -199,6 +213,19 @@ class TestAssembly:
         assert np.array_equal(a, a_ref)
         assert np.array_equal(b, b_ref)
 
+    @pytest.mark.parametrize("lam,h_max", POSITIVE_RATE_LAWS + [
+        pytest.param([1.3, 0.0, 0.7], 1.0, id="event-free"),
+    ])
+    def test_variance_bit_identical_to_former_gather(self, lam, h_max):
+        claw = random_law(len(lam), lam, h_max)
+        quad = build_quadrature()
+        var_b = _at_nodes(claw, quad.nodes, stderr=True) ** 2
+        assert var_b.tobytes() == gathered_variance(claw, quad).tobytes()
+        for i in range(claw.dimension):
+            column = np.concatenate([stderr_at_lag(claw, i, j, quad.nodes) ** 2
+                                     for j in range(claw.dimension)])
+            assert var_b[:, i].tobytes() == column.tobytes()
+
     @pytest.mark.parametrize("lam,h_max", POSITIVE_RATE_LAWS)
     def test_rate_and_weight_scaling_symmetrizes_system(self, lam, h_max):
         # time reversal: lam_j w_q A[(j,q),(k,m)] = lam_k w_m A[(k,m),(j,q)],
@@ -234,6 +261,40 @@ class TestLUReference:
         rng = np.random.default_rng(seed)
         a = np.eye(n) + 0.25 * rng.standard_normal((n, n)) / np.sqrt(n)
         assert_rel_close(_block_inverse(a, leaf), np.linalg.inv(a))
+
+
+class TestComponentPermutation:
+    @pytest.fixture(scope="class")
+    def base(self):
+        model = HawkesModel.linear(
+            [0.8, 0.5, 1.1],
+            [[ExponentialKernel(0.3, 10.0), ZeroKernel(), ExponentialKernel(0.2, 5.0)],
+             [ExponentialKernel(0.25, 8.0), ExponentialKernel(0.2, 12.0), ZeroKernel()],
+             [ZeroKernel(), ExponentialKernel(0.3, 6.0), ExponentialKernel(0.1, 9.0)]])
+        stream = simulate(model, 2e3, seed=41)
+        grid = build_linlog_grid(h_min=1e-2, h_max=1.0, n_lin=10, n_log=60)
+        claw = estimate_conditional_law(stream, grid)
+        quad = build_quadrature()
+        return stream, claw, _assemble_system(claw, quad), solve_wiener_hopf(claw, quad)
+
+    @pytest.mark.parametrize("perm", [(2, 0, 1), (1, 0, 2), (0, 2, 1)])
+    def test_permuting_components_permutes_law_system_and_kernels(self, base, perm):
+        stream, claw, (a, b), est = base
+        perm = np.array(perm)
+        sess = stream.sessions[0]
+        permuted = MultivariateEventStream(3, (Session(
+            sess.session_id, sess.duration, tuple(sess.times[p] for p in perm)),))
+        claw_p = estimate_conditional_law(permuted, claw.grid)
+        assert np.array_equal(claw_p.pair_counts, claw.pair_counts[np.ix_(perm, perm)])
+        assert np.array_equal(claw_p.admissible, claw.admissible[perm])
+        quad = est.quad
+        a_p, b_p = _assemble_system(claw_p, quad)
+        rows = (perm[:, None] * quad.n_nodes + np.arange(quad.n_nodes)).ravel()
+        assert np.array_equal(a_p, a[np.ix_(rows, rows)])
+        assert np.array_equal(b_p, b[rows][:, perm])
+        est_p = solve_wiener_hopf(claw_p, quad)
+        assert_rel_close(est_p.values, est.values[np.ix_(perm, perm)], rel=1e-10)
+        assert_rel_close(est_p.stderr, est.stderr[np.ix_(perm, perm)], rel=1e-10)
 
 
 class TestDerivedQuantities:
@@ -385,7 +446,7 @@ class TestNegativityPropagation:
         h = nodes[1] - nodes[0]
         w = np.full(n, h)
         w[0] = w[-1] = h / 2
-        g_of = lambda tau: claw.value_at_lag(0, 0, np.asarray(tau, dtype=float))
+        g_of = lambda tau: value_at_lag(claw, 0, 0, np.asarray(tau, dtype=float))
         a = np.eye(n) + w[None, :] * g_of(nodes[:, None] - nodes[None, :])
         phi = np.linalg.solve(a, g_of(nodes))
         assert phi.min() < 0.0

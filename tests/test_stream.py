@@ -124,6 +124,17 @@ class TestRandomize:
         assert sess.meta["clamped"] >= 1
         assert all(np.all(t >= 0) for t in sess.times)
 
+    def test_ties_rounded_onto_session_end_stay_inside(self):
+        # both late events round up to 10 s; the tie must not be nudged
+        # past the end of the session
+        times = (np.array([1.0, 10.0 - 3e-6, 10.0 - 1e-6]),)
+        stream = MultivariateEventStream(1, (Session("s", 10.0, times),))
+        out = randomize_timestamps(stream, 10.0, 0.0, seed=1)
+        t = out.sessions[0].times[0]
+        assert len(t) == 3
+        assert t[-1] == 10.0 and t[-2] == np.nextafter(10.0, 0.0)
+        assert np.all(np.diff(t) > 0)
+
     def test_parameter_validation(self):
         stream = self.make_stream()
         with pytest.raises(ValueError):
