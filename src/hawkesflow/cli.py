@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +24,8 @@ from .errors import HawkesflowError, ParseError
 from .estimate import build_linlog_grid, estimate_conditional_law, save_claw
 from .events import (
     BinningScheme,
+    EventTable,
     MultivariateEventStream,
-    OrderEvent,
     combine_streams,
     filter_session,
     flow_statistics,
@@ -121,28 +121,29 @@ def _echo_config(config: RunConfig) -> None:
 
 
 def _events_from_stream(stream: MultivariateEventStream,
-                        scheme: BinningScheme) -> list[list[OrderEvent]]:
-    """Translate component streams back into typed events, one list per
+                        scheme: BinningScheme) -> list[EventTable]:
+    """Translate component streams back into typed events, one table per
     session.  Microsecond rounding collisions within a component are bumped
     by 1 us to preserve per-component counts on re-ingestion."""
+    templates = EventTable.from_rows(
+        (0, *scheme.event_template(comp)) for comp in range(stream.dimension))
     out = []
     for sess in stream.sessions:
-        tagged = []
-        for comp, t in enumerate(sess.times):
-            us = np.round(t / MICROSECOND).astype(np.int64)
-            # us[k] = max(us[k], us[k-1] + 1) as a running maximum
-            k = np.arange(len(us))
-            us = np.maximum.accumulate(us - k) + k
-            etype, side, volume = scheme.event_template(comp)
-            tagged.extend((int(u), comp, etype, side, volume) for u in us)
-        tagged.sort(key=lambda r: (r[0], r[1]))
-        out.append([OrderEvent(u, etype, side, volume)
-                    for (u, _, etype, side, volume) in tagged])
+        us = []
+        for t in sess.times:
+            u = np.round(t / MICROSECOND).astype(np.int64)
+            # u[k] = max(u[k], u[k-1] + 1) as a running maximum
+            k = np.arange(len(u))
+            us.append(np.maximum.accumulate(u - k) + k)
+        comp = np.repeat(np.arange(len(us)), [len(u) for u in us])
+        us = np.concatenate(us)
+        order = np.lexsort((comp, us))
+        out.append(replace(templates.take(comp[order]), ts_us=us[order]))
     return out
 
 
 def _ingest(paths: list[str], scheme: BinningScheme, duration: float | None
-            ) -> tuple[MultivariateEventStream, list[list[OrderEvent]]]:
+            ) -> tuple[MultivariateEventStream, list[EventTable]]:
     """Read session files and map them onto components.  A metadata
     sidecar, when present, supplies the session duration and cross-checks
     the scheme dimension.  Without ``duration``, files that share one

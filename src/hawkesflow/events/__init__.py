@@ -3,10 +3,10 @@
 from .types import (
     BinningMode,
     BinningScheme,
+    EventTable,
     EventType,
     FlowStatistics,
     MultivariateEventStream,
-    OrderEvent,
     RawRecord,
     RecordKind,
     Session,
@@ -33,8 +33,8 @@ from .stream import (
 from .stats import flow_statistics
 
 __all__ = [
-    "BinningMode", "BinningScheme", "EventType", "FlowStatistics",
-    "MultivariateEventStream", "OrderEvent", "RawRecord", "RecordKind",
+    "BinningMode", "BinningScheme", "EventTable", "EventType", "FlowStatistics",
+    "MultivariateEventStream", "RawRecord", "RecordKind",
     "Session", "Side", "load_binning_scheme", "read_event_csv",
     "read_snapshot_csv", "save_binning_scheme",
     "write_event_csv", "ReconstructionDiagnostics", "aggregate_simultaneous",

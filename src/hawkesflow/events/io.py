@@ -12,14 +12,19 @@ Two normalized formats are supported:
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 from pathlib import Path
-from typing import Iterable, TextIO
+from typing import ContextManager, TextIO
 
+import numpy as np
+
+from .._tables import int_cells, write_table
 from ..errors import ParseError
-from .types import BinningScheme, EventType, OrderEvent, RawRecord, RecordKind, Side
+from .types import (_FULL_BOOK_TYPE_ORDER, _SIDE_ORDER, SIDE_CODE, TYPE_CODE,
+                    BinningScheme, EventTable, EventType, RawRecord, RecordKind, Side)
 
 __all__ = [
     "read_event_csv",
@@ -38,24 +43,30 @@ SNAPSHOT_HEADER = [
 ]
 
 
-def _open_text(source) -> TextIO:
+def _open_text(source) -> ContextManager[TextIO]:
+    """A text stream over a path, bytes or an open stream; closing it closes
+    a file opened here and leaves a caller's stream open."""
     if isinstance(source, (str, Path)):
         return open(source, "r", encoding="utf-8", newline="")
     if isinstance(source, (bytes, bytearray)):
         return io.StringIO(source.decode("utf-8"))
-    return source
+    return contextlib.nullcontext(source)
 
 
-def _int_field(row: dict, key: str, line_no: int, required: bool = True) -> int | None:
-    raw = (row.get(key) or "").strip()
+def _int_field(raw: str | None, key: str, line_no: int,
+               required: bool = True) -> int | None:
+    raw = (raw or "").strip()
     if not raw:
         if required:
             raise ParseError(f"missing field '{key}'", line_no)
         return None
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise ParseError(f"field '{key}' is not an integer: {raw!r}", line_no)
+    if not -2 ** 63 <= value < 2 ** 63:
+        raise ParseError(f"field '{key}' is outside the int64 range: {raw!r}", line_no)
+    return value
 
 
 def _check_header(header: list[str] | None, expected: list[str], optional_tail: int = 0):
@@ -68,61 +79,64 @@ def _check_header(header: list[str] | None, expected: list[str], optional_tail: 
     raise ParseError(f"unexpected header {got!r}, expected {expected!r}", 1)
 
 
-def read_event_csv(source) -> list[OrderEvent]:
-    """Parse an event CSV into OrderEvents, enforcing timestamp order."""
-    fh = _open_text(source)
-    close = isinstance(source, (str, Path, bytes, bytearray))
-    try:
+def read_event_csv(source) -> EventTable:
+    """Parse an event CSV into a table, enforcing timestamp order."""
+    with _open_text(source) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         _check_header(header, EVENT_HEADER, optional_tail=1)
-        events: list[OrderEvent] = []
+        ts_col, type_col, side_col, vol_col, price_col = [], [], [], [], []
         prev_ts = None
         for line_no, parts in enumerate(reader, start=2):
             if not parts:
                 continue
             if len(parts) not in (4, 5):
                 raise ParseError(f"expected 4 or 5 fields, got {len(parts)}", line_no)
-            row = dict(zip(EVENT_HEADER, parts))
-            ts = _int_field(row, "timestamp_us", line_no)
+            ts = _int_field(parts[0], "timestamp_us", line_no)
             if ts < 0:
                 raise ParseError("negative timestamp", line_no)
             if prev_ts is not None and ts < prev_ts:
                 raise ParseError(
                     f"decreasing timestamp {ts} after {prev_ts}", line_no)
             prev_ts = ts
-            try:
-                etype = EventType(row["etype"].strip())
-                side = Side(row["side"].strip())
-            except ValueError as exc:
-                raise ParseError(str(exc), line_no)
-            volume = _int_field(row, "volume", line_no)
+            etype = TYPE_CODE.get(parts[1].strip())
+            side = SIDE_CODE.get(parts[2].strip())
+            if etype is None or side is None:
+                try:  # the enums word the error
+                    EventType(parts[1].strip()), Side(parts[2].strip())
+                except ValueError as exc:
+                    raise ParseError(str(exc), line_no)
+            volume = _int_field(parts[3], "volume", line_no)
             if volume < 1:
                 raise ParseError("nonpositive volume", line_no)
-            price = _int_field(row, "price", line_no, required=False)
-            events.append(OrderEvent(ts, etype, side, volume, price))
-        return events
-    finally:
-        if close:
-            fh.close()
+            price = _int_field(parts[4] if len(parts) == 5 else None, "price",
+                               line_no, required=False)
+            ts_col.append(ts)
+            type_col.append(etype)
+            side_col.append(side)
+            vol_col.append(volume)
+            price_col.append(price)
+        return EventTable(ts_col, type_col, side_col, vol_col,
+                          [p or 0 for p in price_col],
+                          [p is not None for p in price_col])
 
 
-def write_event_csv(events: Iterable[OrderEvent], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(EVENT_HEADER)
-        for e in events:
-            writer.writerow([
-                e.timestamp_us, e.etype.value, e.side.value, e.volume,
-                "" if e.price is None else e.price,
-            ])
+def _letters(order, codes: np.ndarray) -> list[str]:
+    return np.array([member.value for member in order])[codes].tolist()
+
+
+def write_event_csv(table: EventTable, path) -> None:
+    """Write a table as an event CSV; absent prices are empty cells."""
+    prices = [p if has else "" for p, has
+              in zip(int_cells(table.price), table.has_price.tolist())]
+    write_table(path, EVENT_HEADER, [
+        int_cells(table.ts_us), _letters(_FULL_BOOK_TYPE_ORDER, table.etype),
+        _letters(_SIDE_ORDER, table.side), int_cells(table.volume), prices])
 
 
 def read_snapshot_csv(source) -> list[RawRecord]:
     """Parse a snapshot CSV into RawRecords, enforcing timestamp order."""
-    fh = _open_text(source)
-    close = isinstance(source, (str, Path, bytes, bytearray))
-    try:
+    with _open_text(source) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         _check_header(header, SNAPSHOT_HEADER)
@@ -136,7 +150,7 @@ def read_snapshot_csv(source) -> list[RawRecord]:
                     f"expected {len(SNAPSHOT_HEADER)} fields, got {len(parts)}",
                     line_no)
             row = dict(zip(SNAPSHOT_HEADER, parts))
-            ts = _int_field(row, "timestamp_us", line_no)
+            ts = _int_field(row["timestamp_us"], "timestamp_us", line_no)
             if prev_ts is not None and ts < prev_ts:
                 raise ParseError(
                     f"decreasing timestamp {ts} after {prev_ts}", line_no)
@@ -147,34 +161,24 @@ def read_snapshot_csv(source) -> list[RawRecord]:
             except ValueError:
                 raise ParseError(f"unknown record kind {kind_raw!r}", line_no)
             if kind is RecordKind.QUOTE_SNAPSHOT:
-                rec = RawRecord(
-                    ts, kind,
-                    bid_price=_int_field(row, "bid_price", line_no),
-                    bid_size=_int_field(row, "bid_size", line_no),
-                    ask_price=_int_field(row, "ask_price", line_no),
-                    ask_size=_int_field(row, "ask_size", line_no),
-                )
+                rec = RawRecord(ts, kind, **{
+                    key: _int_field(row[key], key, line_no)
+                    for key in ("bid_price", "bid_size", "ask_price", "ask_size")})
             else:
-                side_raw = (row.get("trade_side") or "").strip()
+                side_raw = row["trade_side"].strip()
                 try:
                     side = Side(side_raw)
                 except ValueError:
                     raise ParseError(f"unknown trade side {side_raw!r}", line_no)
-                rec = RawRecord(
-                    ts, kind,
-                    trade_price=_int_field(row, "trade_price", line_no),
-                    trade_volume=_int_field(row, "trade_volume", line_no),
-                    trade_side=side,
-                )
+                rec = RawRecord(ts, kind, trade_side=side, **{
+                    key: _int_field(row[key], key, line_no)
+                    for key in ("trade_price", "trade_volume")})
             try:
                 rec.validate()
             except ValueError as exc:
                 raise ParseError(str(exc), line_no)
             records.append(rec)
         return records
-    finally:
-        if close:
-            fh.close()
 
 
 def load_binning_scheme(path) -> BinningScheme:

@@ -17,10 +17,12 @@ Trade records always become trade events with their recorded volume.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import groupby
 
-from .types import EventType, OrderEvent, RawRecord, RecordKind, Side
+import numpy as np
+
+from .types import EventTable, EventType, RawRecord, RecordKind, Side
 
 __all__ = [
     "ReconstructionDiagnostics",
@@ -49,8 +51,8 @@ class ReconstructionDiagnostics:
 
 def _side_transition(side: Side, ts: int, old_price: int, old_size: int,
                      new_price: int, new_size: int,
-                     avail: dict[Side, int]) -> list[OrderEvent]:
-    events: list[OrderEvent] = []
+                     avail: dict[Side, int]) -> list[tuple]:
+    events: list[tuple] = []
     if side is Side.ASK:
         improves = new_price < old_price
     else:
@@ -59,41 +61,39 @@ def _side_transition(side: Side, ts: int, old_price: int, old_size: int,
     if new_price == old_price:
         delta = new_size - old_size
         if delta > 0:
-            events.append(OrderEvent(ts, EventType.LIMIT, side, delta, new_price))
+            events.append((ts, EventType.LIMIT, side, delta, new_price))
         elif delta < 0:
             drop = -delta
             consumed = min(drop, avail[side])
             avail[side] -= consumed
             residual = drop - consumed
             if residual > 0:
-                events.append(OrderEvent(ts, EventType.CANCEL, side, residual, old_price))
+                events.append((ts, EventType.CANCEL, side, residual, old_price))
     elif improves:
-        events.append(OrderEvent(ts, EventType.LIMIT, side, new_size, new_price))
+        events.append((ts, EventType.LIMIT, side, new_size, new_price))
     else:
         # Old best queue gone: trades first, the rest was pulled.
         consumed = min(old_size, avail[side])
         avail[side] -= consumed
         residual = old_size - consumed
         if residual > 0:
-            events.append(OrderEvent(ts, EventType.CANCEL, side, residual, old_price))
+            events.append((ts, EventType.CANCEL, side, residual, old_price))
     return events
 
 
 def reconstruct_orders(records: list[RawRecord],
                        diagnostics: ReconstructionDiagnostics | None = None,
-                       ) -> list[OrderEvent]:
-    """Classify snapshot transitions and trade records into order events.
+                       ) -> EventTable:
+    """Classify snapshot transitions and trade records into an event table.
 
     ``records`` must be sorted by timestamp and start with a quote snapshot.
     Inconsistent records are skipped and counted in ``diagnostics``.
     """
-    if not records:
-        return []
-    if records[0].kind is not RecordKind.QUOTE_SNAPSHOT:
+    if records and records[0].kind is not RecordKind.QUOTE_SNAPSHOT:
         raise ValueError("first record must be a quote snapshot")
     diag = diagnostics if diagnostics is not None else ReconstructionDiagnostics()
 
-    events: list[OrderEvent] = []
+    events: list[tuple] = []  # (ts_us, etype, side, volume, price) rows
     best: dict[Side, tuple[int, int]] = {}
 
     for ts, group_iter in groupby(records, key=lambda r: r.timestamp_us):
@@ -103,8 +103,8 @@ def reconstruct_orders(records: list[RawRecord],
         for rec in group:
             if rec.kind is RecordKind.TRADE:
                 avail[rec.trade_side] += rec.trade_volume
-                events.append(OrderEvent(ts, EventType.TRADE, rec.trade_side,
-                                         rec.trade_volume, rec.trade_price))
+                events.append((ts, EventType.TRADE, rec.trade_side,
+                               rec.trade_volume, rec.trade_price))
         for rec in group:
             if rec.kind is not RecordKind.QUOTE_SNAPSHOT:
                 continue
@@ -120,27 +120,20 @@ def reconstruct_orders(records: list[RawRecord],
                         side, ts, *best[side], *new[side], avail))
             best = new
 
-    return events
+    return EventTable.from_rows(events)
 
 
-def aggregate_simultaneous(events: list[OrderEvent]) -> list[OrderEvent]:
+def aggregate_simultaneous(table: EventTable) -> EventTable:
     """Merge events sharing (timestamp, side, type) by summing volumes.
 
-    Simultaneous events on opposite sides, or of different types, are kept
-    separate.  Idempotent; input must be sorted by timestamp.
+    Each merged event sits where the first of its group was and keeps that
+    event's price.  Simultaneous events on opposite sides, or of different
+    types, are kept separate.  Idempotent.
     """
-    out: list[OrderEvent] = []
-    for ts, group_iter in groupby(events, key=lambda e: e.timestamp_us):
-        merged: dict[tuple[Side, EventType], OrderEvent] = {}
-        order: list[tuple[Side, EventType]] = []
-        for e in group_iter:
-            key = (e.side, e.etype)
-            if key in merged:
-                prev = merged[key]
-                merged[key] = OrderEvent(ts, e.etype, e.side,
-                                         prev.volume + e.volume, prev.price)
-            else:
-                merged[key] = e
-                order.append(key)
-        out.extend(merged[k] for k in order)
-    return out
+    keys = np.stack([table.ts_us, table.side, table.etype])
+    _, first, group = np.unique(keys, axis=1, return_index=True,
+                                return_inverse=True)
+    volume = np.zeros(len(first), dtype=np.int64)
+    np.add.at(volume, group.ravel(), table.volume)
+    order = np.argsort(first)
+    return replace(table.take(first[order]), volume=volume[order])

@@ -4,12 +4,11 @@ signed volume distribution, trade-time autocorrelations, mean intensities.
 
 from __future__ import annotations
 
-from collections import Counter
-
 import numpy as np
 
 from ..grids import LinLogGrid, build_linlog_grid
-from .types import EventType, FlowStatistics, MultivariateEventStream, OrderEvent, Side
+from .types import (SIDE_CODE, TYPE_CODE, EventTable, EventType, FlowStatistics,
+                    MultivariateEventStream, Side)
 
 __all__ = ["flow_statistics"]
 
@@ -49,14 +48,14 @@ def _autocorr(series: np.ndarray, splits: list[int], max_lag: int) -> np.ndarray
 
 
 def flow_statistics(stream: MultivariateEventStream,
-                    events_by_session: list[list[OrderEvent]] | None = None,
+                    events_by_session: list[EventTable] | None = None,
                     duration_grid: LinLogGrid | None = None,
                     max_lag: int = 50) -> FlowStatistics:
     """Compute the stream's descriptive statistics.
 
     Volume histogram and trade-time autocorrelations need the original
     order events and are filled only when ``events_by_session`` is given
-    (one event list per session, trades are extracted from it).
+    (one event table per session, trades are extracted from it).
     """
     if stream.total_time <= 0 or not stream.sessions:
         raise ValueError("empty stream")
@@ -93,21 +92,17 @@ def flow_statistics(stream: MultivariateEventStream,
     sign_ac = None
     vol_ac = None
     if events_by_session is not None:
-        hist: Counter[int] = Counter()
-        signs, vols, splits = [], [], []
-        n_so_far = 0
-        for session_events in events_by_session:
-            trades = [e for e in session_events if e.etype is EventType.TRADE]
-            for e in trades:
-                signed = e.volume if e.side is Side.ASK else -e.volume
-                hist[signed] += 1
-                signs.append(1.0 if e.side is Side.ASK else -1.0)
-                vols.append(float(e.volume))
-            n_so_far += len(trades)
-            splits.append(n_so_far)
-        volume_histogram = dict(sorted(hist.items()))
-        sign_ac = _autocorr(np.array(signs), splits, max_lag)
-        vol_ac = _autocorr(np.array(vols), splits, max_lag)
+        trades = [t.take(t.etype == TYPE_CODE[EventType.TRADE])
+                  for t in events_by_session]
+        splits = np.cumsum([len(t) for t in trades]).tolist()
+        # the empty array keeps concatenate defined for no sessions
+        none = [np.zeros(0, dtype=np.int64)]
+        buy = np.concatenate([t.side == SIDE_CODE[Side.ASK] for t in trades] + none)
+        vols = np.concatenate([t.volume for t in trades] + none)
+        keys, counts = np.unique(np.where(buy, vols, -vols), return_counts=True)
+        volume_histogram = dict(zip(keys.tolist(), counts.tolist()))
+        sign_ac = _autocorr(np.where(buy, 1.0, -1.0), splits, max_lag)
+        vol_ac = _autocorr(vols.astype(float), splits, max_lag)
 
     return FlowStatistics(
         mean_intensity=lam,

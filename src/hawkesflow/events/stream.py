@@ -8,9 +8,9 @@ import numpy as np
 
 from .types import (
     BinningScheme,
+    EventTable,
     MICROSECOND,
     MultivariateEventStream,
-    OrderEvent,
     Session,
 )
 
@@ -28,10 +28,14 @@ TIE_STEP_US = 2.0 ** -10
 
 
 def _strictly_increasing(t: np.ndarray) -> np.ndarray:
-    """Nudge any residual ties up by one ulp so the array is strict."""
-    for k in range(1, len(t)):
-        if t[k] <= t[k - 1]:
-            t[k] = np.nextafter(t[k - 1], np.inf)
+    """Nudge any residual ties up by one ulp so the array is strict.
+
+    For sorted nonnegative finite ``t``, ``nextafter(x, inf)`` is the int64
+    bit pattern of ``x`` plus one, so the nudges are one running maximum.
+    Adding 0.0 first folds -0.0, whose pattern is negative, into 0.0."""
+    k = np.arange(len(t))
+    bits = np.maximum.accumulate((t + 0.0).view(np.int64) - k) + k
+    t[1:] = bits[1:].view(np.float64)
     return t
 
 
@@ -62,7 +66,7 @@ def _to_seconds(ts_us: np.ndarray) -> np.ndarray:
     return sec
 
 
-def assign_components(events: list[OrderEvent], scheme: BinningScheme,
+def assign_components(table: EventTable, scheme: BinningScheme,
                       duration: float | None = None,
                       session_id: str = "session-0") -> MultivariateEventStream:
     """Route events to Hawkes components by type, side and volume bin.
@@ -71,11 +75,9 @@ def assign_components(events: list[OrderEvent], scheme: BinningScheme,
     session length in seconds; by default the last event time rounded up to
     the next whole second (1 s for an empty session).
     """
-    per_comp_us: list[list[int]] = [[] for _ in range(scheme.dimension)]
-    for e in events:
-        if scheme.uses_event(e):
-            per_comp_us[scheme.component(e)].append(e.timestamp_us)
-    last = max((c[-1] for c in per_comp_us if c), default=0)
+    comp = scheme.components(table)
+    per_comp_us = [table.ts_us[comp == c] for c in range(scheme.dimension)]
+    last = max((int(c[-1]) for c in per_comp_us if len(c)), default=0)
     if duration is None:
         duration = max(1.0, math.ceil(last * MICROSECOND))
     elif last * MICROSECOND > duration:
@@ -83,10 +85,7 @@ def assign_components(events: list[OrderEvent], scheme: BinningScheme,
             f"events extend to {last * MICROSECOND} s beyond the declared "
             f"session duration {duration} s")
     # boundary events may overshoot the duration by their tie perturbation
-    times = tuple(
-        _cap_strict(_to_seconds(np.asarray(c, dtype=np.int64)), duration)
-        for c in per_comp_us
-    )
+    times = tuple(_cap_strict(_to_seconds(c), duration) for c in per_comp_us)
     session = Session(session_id, float(duration), times)
     return MultivariateEventStream(scheme.dimension, (session,))
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -13,7 +12,7 @@ __all__ = [
     "EventType",
     "RecordKind",
     "RawRecord",
-    "OrderEvent",
+    "EventTable",
     "BinningMode",
     "BinningScheme",
     "Session",
@@ -78,21 +77,6 @@ class RawRecord:
                 raise ValueError("missing trade side")
 
 
-@dataclass(frozen=True)
-class OrderEvent:
-    """A typed first-level order-book event."""
-
-    timestamp_us: int
-    etype: EventType
-    side: Side
-    volume: int
-    price: int | None = None
-
-    def __post_init__(self):
-        if self.volume < 1:
-            raise ValueError("nonpositive volume")
-
-
 class BinningMode(str, Enum):
     UNSIGNED_TRADES = "unsigned_trades"
     SIGNED_TRADES = "signed_trades"
@@ -103,6 +87,71 @@ class BinningMode(str, Enum):
 # first, then buy block.  Full book: ask block then bid block, each ordered
 # limit bins, cancel bins, trade bins.
 _FULL_BOOK_TYPE_ORDER = (EventType.LIMIT, EventType.CANCEL, EventType.TRADE)
+_SIDE_ORDER = (Side.ASK, Side.BID)
+# EventTable codes: indices into the orders, keyed by letter or str enum.
+TYPE_CODE = {t.value: i for i, t in enumerate(_FULL_BOOK_TYPE_ORDER)}
+SIDE_CODE = {s.value: i for i, s in enumerate(_SIDE_ORDER)}
+_COLUMNS = {"ts_us": np.int64, "etype": np.uint8, "side": np.uint8,
+            "volume": np.int64, "price": np.int64, "has_price": np.bool_}
+
+
+@dataclass(frozen=True, eq=False)
+class EventTable:
+    """One session of typed first-level order-book events as columns.
+
+    ``etype`` and ``side`` hold the codes of :data:`TYPE_CODE` and
+    :data:`SIDE_CODE`; ``price`` is 0 where ``has_price`` is false.
+    Columns of any integer sequence are converted to the dtypes of
+    ``_COLUMNS`` and checked once: equal lengths, nonnegative nondecreasing
+    timestamps, codes in range and volumes of at least 1.
+    """
+
+    ts_us: np.ndarray
+    etype: np.ndarray
+    side: np.ndarray
+    volume: np.ndarray
+    price: np.ndarray
+    has_price: np.ndarray
+
+    def __post_init__(self):
+        n = len(self.ts_us)
+        cols = {name: np.asarray(getattr(self, name), dtype=np.int64)
+                for name in _COLUMNS}
+        if any(c.shape != (n,) for c in cols.values()):
+            raise ValueError("event columns must be flat and of equal length")
+        bad = np.flatnonzero(np.diff(cols["ts_us"], prepend=0) < 0)
+        if len(bad):
+            raise ValueError(f"timestamp at row {bad[0]} is negative or decreasing")
+        for name, n_codes in (("etype", len(TYPE_CODE)), ("side", len(SIDE_CODE))):
+            if np.any((cols[name] < 0) | (cols[name] >= n_codes)):
+                raise ValueError(f"{name} code outside [0, {n_codes})")
+        if np.any(cols["volume"] < 1):
+            raise ValueError("nonpositive volume")
+        cols["price"] = np.where(cols["has_price"] != 0, cols["price"], 0)
+        for name, dtype in _COLUMNS.items():
+            object.__setattr__(self, name, cols[name].astype(dtype))
+
+    @classmethod
+    def from_rows(cls, rows) -> "EventTable":
+        """Table of ``(ts_us, etype, side, volume[, price])`` rows, with
+        etype and side as enum members or their letters; a price of None
+        is absent."""
+        rows = [tuple(r) + (None,) * (5 - len(r)) for r in rows]
+        ts, etype, side, volume, price = list(zip(*rows)) or [()] * 5
+        return cls(ts, [TYPE_CODE[EventType(e)] for e in etype],
+                   [SIDE_CODE[Side(s)] for s in side], volume,
+                   [p or 0 for p in price], [p is not None for p in price])
+
+    def __len__(self) -> int:
+        return len(self.ts_us)
+
+    def take(self, rows: np.ndarray) -> "EventTable":
+        return EventTable(*(getattr(self, name)[rows] for name in _COLUMNS))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, EventTable) and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in _COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -137,28 +186,17 @@ class BinningScheme:
         }[self.mode]
         return per_side * self.n_volume_bins
 
-    def volume_bin(self, volume: int) -> int:
-        if volume < 1:
-            raise ValueError("volume must be >= 1")
-        return bisect.bisect_left(self.edges, volume)
-
-    def uses_event(self, event: OrderEvent) -> bool:
-        if self.mode is BinningMode.FULL_BOOK:
-            return True
-        return event.etype is EventType.TRADE
-
-    def component(self, event: OrderEvent) -> int:
-        """Component index of an event this scheme uses."""
-        b = self.volume_bin(event.volume)
+    def components(self, table: EventTable) -> np.ndarray:
+        """Component index of each event, -1 where the scheme drops it."""
         k = self.n_volume_bins
-        if self.mode is BinningMode.UNSIGNED_TRADES:
-            return b
+        comp = np.searchsorted(np.asarray(self.edges, dtype=np.int64), table.volume)
+        if self.mode is BinningMode.FULL_BOOK:
+            # ask block then bid block, each limit, cancel, trade bins
+            return comp + (table.etype + 3 * table.side.astype(np.int64)) * k
         if self.mode is BinningMode.SIGNED_TRADES:
-            # sell = market order hitting the bid
-            return b if event.side is Side.BID else k + b
-        side_off = 0 if event.side is Side.ASK else 3 * k
-        type_off = _FULL_BOOK_TYPE_ORDER.index(event.etype) * k
-        return side_off + type_off + b
+            # sell = market order hitting the bid, in the first block
+            comp = comp + k * (table.side == SIDE_CODE[Side.ASK])
+        return np.where(table.etype == TYPE_CODE[EventType.TRADE], comp, -1)
 
     def labels(self) -> list[str]:
         k = self.n_volume_bins
@@ -182,27 +220,18 @@ class BinningScheme:
             return {"ask": list(range(3 * k)), "bid": list(range(3 * k, 6 * k))}
         return None
 
-    def representative_volume(self, bin_index: int) -> int:
-        """Smallest volume that maps to the given volume bin."""
-        if bin_index == 0:
-            return 1
-        return self.edges[bin_index - 1] + 1
-
     def event_template(self, comp: int) -> tuple[EventType, Side, int]:
         """(etype, side, volume) mapping back to the given component;
-        inverse of :meth:`component` up to the representative volume."""
+        inverse of :meth:`components` up to the representative volume."""
         if not 0 <= comp < self.dimension:
             raise IndexError(f"component {comp} outside dimension {self.dimension}")
-        k = self.n_volume_bins
+        block, b = divmod(comp, self.n_volume_bins)
+        volume = (0, *self.edges)[b] + 1  # the smallest volume of bin b
         if self.mode is BinningMode.UNSIGNED_TRADES:
-            return EventType.TRADE, Side.ASK, self.representative_volume(comp)
+            return EventType.TRADE, Side.ASK, volume
         if self.mode is BinningMode.SIGNED_TRADES:
-            side = Side.BID if comp < k else Side.ASK
-            return EventType.TRADE, side, self.representative_volume(comp % k)
-        side = Side.ASK if comp < 3 * k else Side.BID
-        rem = comp % (3 * k)
-        etype = _FULL_BOOK_TYPE_ORDER[rem // k]
-        return etype, side, self.representative_volume(rem % k)
+            return EventType.TRADE, _SIDE_ORDER[1 - block], volume
+        return _FULL_BOOK_TYPE_ORDER[block % 3], _SIDE_ORDER[block // 3], volume
 
     def to_dict(self) -> dict:
         return {"mode": self.mode.value, "edges": list(self.edges)}

@@ -1,9 +1,9 @@
 """Kernel function specifications for Hawkes models.
 
 Every kernel is causal (zero for t < 0) and exposes its L1 norm, either in
-closed form or by quadrature.  ``upper_bound_from(tau)`` returns a bound on
-``sup_{u >= tau} phi(u)`` that is non-increasing in ``tau``; the thinning
-simulator relies on it for its dominating rate.
+closed form or by quadrature.  ``upper_bound_from_vec(taus)`` bounds
+``sup_{u >= tau} phi(u)`` at each lag ``tau``, non-increasing in ``tau``;
+the thinning simulator relies on it for its dominating rate.
 """
 
 from __future__ import annotations
@@ -50,11 +50,8 @@ class KernelSpec:
         """Lag beyond which ``|phi|`` stays below ``eps``."""
         raise NotImplementedError
 
-    def upper_bound_from(self, tau: float) -> float:
-        raise NotImplementedError
-
     def upper_bound_from_vec(self, taus: np.ndarray) -> np.ndarray:
-        return np.array([self.upper_bound_from(float(t)) for t in taus])
+        raise NotImplementedError
 
     def is_exponential_family(self) -> bool:
         return False
@@ -83,9 +80,6 @@ class ZeroKernel(KernelSpec):
 
     def nonnegative(self) -> bool:
         return True
-
-    def upper_bound_from(self, tau: float) -> float:
-        return 0.0
 
     def upper_bound_from_vec(self, taus: np.ndarray) -> np.ndarray:
         return np.zeros_like(np.asarray(taus, dtype=float))
@@ -135,11 +129,6 @@ class ExponentialKernel(KernelSpec):
     def nonnegative(self) -> bool:
         return self.alpha >= 0.0
 
-    def upper_bound_from(self, tau: float) -> float:
-        if self.alpha <= 0:
-            return 0.0
-        return self.alpha * self.beta * np.exp(-self.beta * max(tau, 0.0))
-
     def upper_bound_from_vec(self, taus: np.ndarray) -> np.ndarray:
         taus = np.maximum(np.asarray(taus, dtype=float), 0.0)
         if self.alpha <= 0:
@@ -184,10 +173,6 @@ class SumOfExponentialsKernel(KernelSpec):
     def support(self, eps: float = 1e-8) -> float:
         return max(ExponentialKernel(a, b).support(eps) if a != 0 else 0.0
                    for a, b in self.terms)
-
-    def upper_bound_from(self, tau: float) -> float:
-        tau = max(tau, 0.0)
-        return float(sum(a * b * np.exp(-b * tau) for a, b in self.terms if a > 0))
 
     def upper_bound_from_vec(self, taus: np.ndarray) -> np.ndarray:
         taus = np.maximum(np.asarray(taus, dtype=float), 0.0)
@@ -239,11 +224,6 @@ class PowerLawKernel(KernelSpec):
         if self.c == 0:
             return 0.0
         return max((abs(self.c) / eps) ** (1.0 / self.gamma) - self.t0, 0.0)
-
-    def upper_bound_from(self, tau: float) -> float:
-        if self.c <= 0:
-            return 0.0
-        return self.c * (max(tau, 0.0) + self.t0) ** -self.gamma
 
     def upper_bound_from_vec(self, taus: np.ndarray) -> np.ndarray:
         taus = np.maximum(np.asarray(taus, dtype=float), 0.0)
@@ -303,15 +283,8 @@ class TabulatedKernel(KernelSpec):
         last = min(int(above[-1]) + 1, len(self.grid) - 1)
         return float(self.grid[last])
 
-    def upper_bound_from(self, tau: float) -> float:
-        # piecewise-linear segments attain their maxima at the grid points
-        g = self._grid
-        if tau >= g[-1]:
-            return 0.0
-        suffix = float(np.max(self._values[g >= tau], initial=0.0))
-        return max(suffix, float(self.value(max(tau, 0.0))), 0.0)
-
     def upper_bound_from_vec(self, taus: np.ndarray) -> np.ndarray:
+        # piecewise-linear segments attain their maxima at the grid points
         taus = np.maximum(np.asarray(taus, dtype=float), 0.0)
         g = self._grid
         idx = np.searchsorted(g, taus, side="left")
@@ -346,7 +319,9 @@ _KERNEL_TYPES = {
 
 
 def kernel_from_dict(d: dict) -> KernelSpec:
+    if d.get("type") not in _KERNEL_TYPES:
+        raise ValueError(f"unknown kernel spec: {d!r}")
     try:
         return _KERNEL_TYPES[d["type"]](d)
     except KeyError as exc:
-        raise ValueError(f"unknown kernel spec: {d!r}") from exc
+        raise ValueError(f"{d['type']} kernel spec lacks key {exc}: {d!r}") from exc

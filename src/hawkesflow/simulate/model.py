@@ -28,38 +28,14 @@ class ModelFlavor(str, Enum):
     FACTORIZED = "factorized"
 
 
-def spectral_radius(norm_matrix, tol: float = 1e-10, max_iter: int = 100_000) -> float:
-    """Largest-modulus eigenvalue of a nonnegative matrix by power iteration.
-
-    Uses a positive start vector and a two-step geometric estimate, which
-    also converges when the dominant eigenvalues come in a +/- pair.
-    """
+def spectral_radius(norm_matrix) -> float:
+    """Largest eigenvalue modulus of a square matrix."""
     a = np.asarray(norm_matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("norm matrix must be square")
     if not np.all(np.isfinite(a)):
         raise ValueError("norm matrix must be finite")
-    n = a.shape[0]
-    if n == 1:
-        return abs(float(a[0, 0]))
-    x = np.full(n, 1.0 / np.sqrt(n))
-    estimate = None
-    for _ in range(max_iter):
-        y1 = a @ x
-        r1 = float(np.linalg.norm(y1))
-        if r1 == 0.0:
-            return 0.0  # positive vector annihilated: nilpotent matrix
-        y2 = a @ (y1 / r1)
-        r2 = float(np.linalg.norm(y2))
-        if r2 == 0.0:
-            return 0.0
-        new_estimate = float(np.sqrt(r1 * r2))
-        x = y2 / r2
-        if estimate is not None and abs(new_estimate - estimate) <= tol * max(new_estimate, 1e-300):
-            return new_estimate
-        estimate = new_estimate
-    raise ArithmeticError(
-        f"power iteration did not converge to rtol={tol} in {max_iter} iterations")
+    return float(np.max(np.abs(np.linalg.eigvals(a)), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -168,13 +144,16 @@ class HawkesModel:
     @classmethod
     def from_dict(cls, d: dict) -> "HawkesModel":
         flavor = ModelFlavor(d.get("flavor", "linear"))
-        if flavor is ModelFlavor.FACTORIZED:
-            return cls.factorized(
-                float(d["baseline_total"]),
-                kernel_from_dict(d["base_kernel"]),
-                d["mark_values"], d["mark_probs"])
-        kernels = [[kernel_from_dict(k) for k in row] for row in d["kernels"]]
-        return cls.linear(d["baseline"], kernels, flavor)
+        try:
+            if flavor is ModelFlavor.FACTORIZED:
+                return cls.factorized(
+                    float(d["baseline_total"]),
+                    kernel_from_dict(d["base_kernel"]),
+                    d["mark_values"], d["mark_probs"])
+            kernels = [[kernel_from_dict(k) for k in row] for row in d["kernels"]]
+            return cls.linear(d["baseline"], kernels, flavor)
+        except KeyError as exc:
+            raise ValueError(f"{flavor.value} model spec lacks key {exc}") from exc
 
     def content_hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()

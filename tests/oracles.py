@@ -14,22 +14,32 @@ for its single loop, the former microsecond collision loop for its
 cumulative-maximum form, and compensator increments give the
 time-rescaling check of simulated streams.  The former row-by-row CSV
 writers of laws, kernels and reports are the byte-level reference for the
-column-formatted table writer.
+column-formatted table writer.  The former per-event CSV parser, with its
+row objects, is the reference for the error messages and line numbers of
+the table parser, the former per-event aggregation for the table's, and
+the former tie-nudging loop for its running-maximum form.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
+from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 import scipy.linalg as sla
 from scipy.signal import fftconvolve
 
+from hawkesflow.errors import ParseError
 from hawkesflow.estimate import ConditionalLawMatrix
-from hawkesflow.events import FlowStatistics
+from hawkesflow.events import EventType, FlowStatistics, Side
+from hawkesflow.events.io import EVENT_HEADER, _check_header
+from hawkesflow.events.types import _FULL_BOOK_TYPE_ORDER, _SIDE_ORDER
 from hawkesflow.simulate import HawkesModel, ModelFlavor, PowerLawKernel
 from hawkesflow.whsolve import KernelEstimate
 from hawkesflow.simulate.thinning import KERNEL_TRUNCATION_EPS
@@ -737,3 +747,121 @@ def emit_flow_report(stats: FlowStatistics, out_dir,
                             _fmt(stats.volume_autocorr[k])])
         written.append(path)
     return written
+
+
+def strictly_increasing(t: np.ndarray) -> np.ndarray:
+    """The former tie-nudging loop of ``events.stream._strictly_increasing``."""
+    for k in range(1, len(t)):
+        if t[k] <= t[k - 1]:
+            t[k] = np.nextafter(t[k - 1], np.inf)
+    return t
+
+
+def event_rows(table) -> list[tuple]:
+    """An event table as ``(timestamp_us, etype, side, volume, price)``
+    rows, with enum members and None for an absent price: the fields of
+    the former per-event objects."""
+    return [(ts, _FULL_BOOK_TYPE_ORDER[e], _SIDE_ORDER[s], v, p if has else None)
+            for ts, e, s, v, p, has in zip(
+                table.ts_us.tolist(), table.etype.tolist(), table.side.tolist(),
+                table.volume.tolist(), table.price.tolist(), table.has_price.tolist())]
+
+
+# The former event CSV parser and simultaneous-event aggregation, verbatim
+# with their helpers and row type.
+
+@dataclass(frozen=True)
+class OrderEvent:
+    """A typed first-level order-book event."""
+
+    timestamp_us: int
+    etype: EventType
+    side: Side
+    volume: int
+    price: int | None = None
+
+    def __post_init__(self):
+        if self.volume < 1:
+            raise ValueError("nonpositive volume")
+
+
+def _open_text(source) -> TextIO:
+    if isinstance(source, (str, Path)):
+        return open(source, "r", encoding="utf-8", newline="")
+    if isinstance(source, (bytes, bytearray)):
+        return io.StringIO(source.decode("utf-8"))
+    return source
+
+
+def _int_field(row: dict, key: str, line_no: int, required: bool = True) -> int | None:
+    raw = (row.get(key) or "").strip()
+    if not raw:
+        if required:
+            raise ParseError(f"missing field '{key}'", line_no)
+        return None
+    try:
+        return int(raw)
+    except ValueError:
+        raise ParseError(f"field '{key}' is not an integer: {raw!r}", line_no)
+
+
+def read_event_csv(source) -> list[OrderEvent]:
+    """Parse an event CSV into OrderEvents, enforcing timestamp order."""
+    fh = _open_text(source)
+    close = isinstance(source, (str, Path, bytes, bytearray))
+    try:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        _check_header(header, EVENT_HEADER, optional_tail=1)
+        events: list[OrderEvent] = []
+        prev_ts = None
+        for line_no, parts in enumerate(reader, start=2):
+            if not parts:
+                continue
+            if len(parts) not in (4, 5):
+                raise ParseError(f"expected 4 or 5 fields, got {len(parts)}", line_no)
+            row = dict(zip(EVENT_HEADER, parts))
+            ts = _int_field(row, "timestamp_us", line_no)
+            if ts < 0:
+                raise ParseError("negative timestamp", line_no)
+            if prev_ts is not None and ts < prev_ts:
+                raise ParseError(
+                    f"decreasing timestamp {ts} after {prev_ts}", line_no)
+            prev_ts = ts
+            try:
+                etype = EventType(row["etype"].strip())
+                side = Side(row["side"].strip())
+            except ValueError as exc:
+                raise ParseError(str(exc), line_no)
+            volume = _int_field(row, "volume", line_no)
+            if volume < 1:
+                raise ParseError("nonpositive volume", line_no)
+            price = _int_field(row, "price", line_no, required=False)
+            events.append(OrderEvent(ts, etype, side, volume, price))
+        return events
+    finally:
+        if close:
+            fh.close()
+
+
+def aggregate_simultaneous(events: list[OrderEvent]) -> list[OrderEvent]:
+    """Merge events sharing (timestamp, side, type) by summing volumes.
+
+    Simultaneous events on opposite sides, or of different types, are kept
+    separate.  Idempotent; input must be sorted by timestamp.
+    """
+    out: list[OrderEvent] = []
+    for ts, group_iter in groupby(events, key=lambda e: e.timestamp_us):
+        merged: dict[tuple[Side, EventType], OrderEvent] = {}
+        order: list[tuple[Side, EventType]] = []
+        for e in group_iter:
+            key = (e.side, e.etype)
+            if key in merged:
+                prev = merged[key]
+                merged[key] = OrderEvent(ts, e.etype, e.side,
+                                         prev.volume + e.volume, prev.price)
+            else:
+                merged[key] = e
+                order.append(key)
+        out.extend(merged[k] for k in order)
+    return out

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from hawkesflow import cli
 from hawkesflow.cli import RunConfig, _events_from_stream, main
 from hawkesflow.errors import ParseError
 from hawkesflow.estimate import estimate_conditional_law
@@ -17,10 +18,14 @@ from hawkesflow.events import (
     MultivariateEventStream,
     Session,
     assign_components,
+    combine_streams,
     flow_statistics,
+    load_binning_scheme,
+    read_event_csv,
+    write_event_csv,
 )
 from hawkesflow.events.types import MICROSECOND
-from hawkesflow.simulate import ExponentialKernel, HawkesModel, save_model
+from hawkesflow.simulate import ExponentialKernel, HawkesModel, ZeroKernel, save_model
 from oracles import bump_collisions
 
 
@@ -98,6 +103,40 @@ class TestSimulateCommand:
         assert code == 2
         assert "alpha and beta must be finite" in capsys.readouterr().err
 
+    def test_cyclic_norm_matrix_simulates(self, tmp_path, capsys):
+        # kernels only on 0<-1, 1<-2 and 2<-0: the norm matrix is a 3-cycle
+        # with spectral radius 0.09 ** (1/3), which power iteration cannot find
+        kernels = [[ZeroKernel()] * 3 for _ in range(3)]
+        for i, j, alpha in ((0, 1, 0.9), (1, 2, 0.2), (2, 0, 0.5)):
+            kernels[i][j] = ExponentialKernel(alpha, 10.0)
+        path = tmp_path / "cyc.json"
+        save_model(HawkesModel.linear([1.0, 1.0, 1.0], kernels), path)
+        code = main(["simulate", "--model", str(path), "--horizon", "100",
+                     "--out", str(tmp_path / "o")])
+        assert code == 0
+        assert "wrote" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("model,key", [
+        pytest.param({"flavor": "linear", "baseline": [1.0]}, "'kernels'",
+                     id="no_kernels"),
+        pytest.param({"flavor": "factorized", "baseline_total": 1.0,
+                      "mark_values": [1.0], "mark_probs": [1.0]}, "'base_kernel'",
+                     id="no_base_kernel"),
+        pytest.param({"flavor": "linear", "baseline": [1.0],
+                      "kernels": [[{"type": "exponential", "beta": 10.0}]]},
+                     "'alpha'", id="kernel_without_alpha"),
+    ])
+    def test_model_file_missing_key_exits_2(self, tmp_path, capsys, model, key):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        code = main(["simulate", "--model", str(path), "--horizon", "10",
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "lacks key " + key in err
+        assert "unknown kernel spec" not in err
+
+
 class TestEventsFromStream:
     # steps of 0.3 us put up to four events on one rounded microsecond
     @given(st.lists(st.lists(st.integers(0, 3000), max_size=60, unique=True),
@@ -107,12 +146,12 @@ class TestEventsFromStream:
         stream = MultivariateEventStream(len(times), (Session("s", 1.0, times),))
         scheme = BinningScheme.canonical(len(times))
         events = _events_from_stream(stream, scheme)[0]
-        stamps = [e.timestamp_us for e in events]
+        stamps = events.ts_us.tolist()
         assert stamps == sorted(stamps)
         for comp, t in enumerate(times):
             expected = bump_collisions(np.round(t / MICROSECOND).astype(np.int64))
-            got = [e.timestamp_us for e in events if e.volume == comp + 1]
-            assert got == expected.tolist()
+            got = events.ts_us[events.volume == comp + 1]
+            assert got.tolist() == expected.tolist()
 
 
 class TestBenchmarkCallSignatures:
@@ -133,6 +172,28 @@ class TestBenchmarkCallSignatures:
     ])
     def test_call_binds(self, func, args, kwargs):
         inspect.signature(func).bind(*args, **kwargs)
+
+    def test_replica_call_sequence_on_two_sessions(self, tmp_path, model_file):
+        sims = [run_simulate(tmp_path, model_file, seed=s, horizon=200.0,
+                             name=f"s{s}") for s in (1, 2)]
+        scheme_path = tmp_path / "scheme.json"
+        scheme_path.write_text('{"mode": "unsigned_trades", "edges": []}')
+        scheme = load_binning_scheme(scheme_path)
+        streams, events_all, rows = [], [], 0
+        for idx, sim in enumerate(sims):
+            events = read_event_csv(sim / "events.csv")
+            rows += len(events)
+            duration = json.loads((sim / "metadata.json").read_text())["horizon"]
+            streams.append(assign_components(events, scheme, duration,
+                                             session_id=f"session-{idx}"))
+            events_all.append(events)
+        stream = combine_streams(streams)
+        assert rows == stream.total_counts.sum() > 0
+        stats = flow_statistics(stream, events_by_session=events_all)
+        assert sum(stats.volume_histogram.values()) == rows
+        out = tmp_path / "again.csv"
+        write_event_csv(cli._events_from_stream(stream, scheme)[0], out)
+        assert out.read_bytes() == (sims[0] / "events.csv").read_bytes()
 
 
 class TestEstimateCommand:

@@ -1,11 +1,14 @@
 import io
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hawkesflow.errors import ParseError
 from hawkesflow.events import (
     BinningMode,
     BinningScheme,
+    EventTable,
     EventType,
     RecordKind,
     Side,
@@ -15,6 +18,8 @@ from hawkesflow.events import (
     save_binning_scheme,
     write_event_csv,
 )
+import oracles
+from oracles import event_rows
 
 EVENT_HEADER = "timestamp_us,etype,side,volume,price\n"
 SNAP_HEADER = ("timestamp_us,kind,bid_price,bid_size,ask_price,ask_size,"
@@ -25,13 +30,11 @@ class TestEventCsv:
     def test_trade_line_maps_fields(self):
         events = read_event_csv(io.StringIO(EVENT_HEADER + "1000,T,a,5,12850\n"))
         assert len(events) == 1
-        e = events[0]
-        assert (e.timestamp_us, e.etype, e.side, e.volume, e.price) == (
-            1000, EventType.TRADE, Side.ASK, 5, 12850)
+        assert event_rows(events)[0] == (1000, EventType.TRADE, Side.ASK, 5, 12850)
 
     def test_empty_file_gives_empty_list(self):
-        assert read_event_csv(io.StringIO(EVENT_HEADER)) == []
-        assert read_event_csv(io.StringIO("")) == []
+        assert read_event_csv(io.StringIO(EVENT_HEADER)) == EventTable.from_rows([])
+        assert read_event_csv(io.StringIO("")) == EventTable.from_rows([])
 
     def test_zero_volume_rejected_with_line_number(self):
         with pytest.raises(ParseError, match="line 2.*nonpositive volume"):
@@ -48,7 +51,7 @@ class TestEventCsv:
 
     def test_price_optional(self):
         events = read_event_csv(io.StringIO(EVENT_HEADER + "7,C,b,3,\n"))
-        assert events[0].price is None
+        assert event_rows(events)[0][4] is None
 
     def test_write_read_roundtrip(self, tmp_path):
         events = read_event_csv(io.StringIO(
@@ -59,7 +62,106 @@ class TestEventCsv:
 
     def test_event_lines_from_bytes(self):
         events = read_event_csv((EVENT_HEADER + "1000,T,a,5,12850\n").encode())
-        assert events[0].etype is EventType.TRADE
+        assert event_rows(events)[0][1] is EventType.TRADE
+
+
+class TestEventTable:
+    def test_decreasing_timestamps_rejected(self):
+        # trades at 3, 1 and 2 s once became [2 - 2ulp, 2 - ulp, 2] s
+        rows = [(3_000_000, "T", "a", 1), (1_000_000, "T", "a", 1),
+                (2_000_000, "T", "a", 1)]
+        with pytest.raises(ValueError, match="row 1 is negative or decreasing"):
+            EventTable.from_rows(rows)
+
+    def test_negative_timestamp_rejected(self):
+        with pytest.raises(ValueError, match="row 0"):
+            EventTable([-1], [0], [0], [1], [0], [False])
+
+    @pytest.mark.parametrize("column,value", [
+        ("etype", 3), ("etype", -1), ("side", 2), ("volume", 0)])
+    def test_bad_code_or_volume_rejected(self, column, value):
+        cols = dict(ts_us=[5, 6], etype=[0, 2], side=[0, 1], volume=[1, 9],
+                    price=[0, 0], has_price=[False, False])
+        cols[column] = [cols[column][0], value]
+        with pytest.raises(ValueError, match=column):
+            EventTable(**cols)
+
+    def test_unequal_columns_rejected(self):
+        with pytest.raises(ValueError, match="equal length"):
+            EventTable([1, 2], [0], [0], [1], [0], [False])
+
+    def test_columns_take_their_dtypes(self):
+        table = EventTable.from_rows([(7, EventType.CANCEL, "b", 3, 101), (8, "T", "a", 1)])
+        assert [table.ts_us.dtype, table.etype.dtype, table.side.dtype,
+                table.volume.dtype, table.price.dtype, table.has_price.dtype] == [
+            np.int64, np.uint8, np.uint8, np.int64, np.int64, np.bool_]
+        assert event_rows(table) == [(7, EventType.CANCEL, Side.BID, 3, 101),
+                                     (8, EventType.TRADE, Side.ASK, 1, None)]
+
+    @given(st.lists(st.tuples(st.integers(0, 2 ** 62), st.sampled_from("LCT"),
+                              st.sampled_from("ab"), st.integers(1, 2 ** 62),
+                              st.one_of(st.none(), st.integers(-2 ** 63, 2 ** 63 - 1))),
+                    max_size=30),
+           st.booleans())
+    @example(rows=[(0, "L", "a", 1, 0), (0, "T", "b", 2, None)], prices=True)
+    def test_csv_roundtrip_is_identity(self, tmp_path_factory, rows, prices):
+        if not prices:
+            rows = [row[:4] for row in rows]
+        table = EventTable.from_rows(sorted(rows, key=lambda r: r[0]))
+        path = tmp_path_factory.mktemp("rt") / "events.csv"
+        write_event_csv(table, path)
+        assert read_event_csv(path) == table
+
+
+# cell text a corrupted field may take: valid and invalid integers, codes of
+# the other field, blanks and quoted values
+BAD_CELLS = ["", " ", "x", "-1", "0", "1.5", "1e3", "7 ", " 12", "T", "a", "B",
+             "l", '"3"', "2,5", "999999999999999999"]
+TWO_ROWS = [(5, "L", "a", 1, None, False), (9, "T", "b", 2, 3, False)]
+
+
+class TestParserAgainstFormerParser:
+    @settings(max_examples=200)
+    @given(st.lists(st.tuples(st.integers(0, 10 ** 9), st.sampled_from("LCT"),
+                              st.sampled_from("ab"), st.integers(1, 10 ** 6),
+                              st.one_of(st.none(), st.integers(-10 ** 6, 10 ** 6)),
+                              st.booleans()),
+                    min_size=1, max_size=12),
+           st.integers(0, 11), st.integers(0, 6), st.sampled_from(BAD_CELLS))
+    @example(TWO_ROWS, 1, 0, "-1")   # negative timestamp
+    @example(TWO_ROWS, 1, 0, "4")    # decreasing timestamp
+    @example(TWO_ROWS, 0, 3, "0")    # nonpositive volume
+    def test_corrupted_row_gives_former_error(self, rows, which, field, cell):
+        lines = []
+        for ts, etype, side, volume, price, four in sorted(rows, key=lambda r: r[0]):
+            cells = [str(ts), etype, side, str(volume)]
+            if not (four and price is None):
+                cells.append("" if price is None else str(price))
+            lines.append(cells)
+        bad = lines[which % len(lines)]
+        if field < len(bad):
+            bad[field] = cell
+        elif field == 5:
+            bad.append(cell)  # a sixth field, or a price on a four-field row
+        else:
+            del bad[1:]  # too few fields
+        text = EVENT_HEADER + "".join(",".join(c) + "\n" for c in lines)
+        try:
+            expected = oracles.read_event_csv(io.StringIO(text))
+        except ParseError as exc:
+            with pytest.raises(ParseError) as got:
+                read_event_csv(io.StringIO(text))
+            assert (str(got.value), got.value.line_no) == (str(exc), exc.line_no)
+        else:
+            assert event_rows(read_event_csv(io.StringIO(text))) == [
+                (e.timestamp_us, e.etype, e.side, e.volume, e.price)
+                for e in expected]
+
+    def test_out_of_range_integer_rejected_with_line_number(self):
+        body = "5,L,a,1,1\n6,T,b,2,99999999999999999999\n"
+        with pytest.raises(ParseError, match="line 3: field 'price' is outside "
+                                             "the int64 range"):
+            read_event_csv(io.StringIO(EVENT_HEADER + body))
 
 
 class TestSnapshotCsv:
@@ -93,34 +195,32 @@ class TestBinningScheme:
         # bins {1},{2},{3},(3,7],(7,20],(20,inf)
         scheme = BinningScheme(BinningMode.UNSIGNED_TRADES, (1, 2, 3, 7, 20))
         assert scheme.dimension == 6
-        assert scheme.volume_bin(5) == 3      # (3, 7]
-        assert scheme.volume_bin(1) == 0      # {1}
-        assert scheme.volume_bin(7) == 3
-        assert scheme.volume_bin(8) == 4
-        assert scheme.volume_bin(21) == 5
+        trades = EventTable.from_rows([(0, EventType.TRADE, Side.ASK, v)
+                                       for v in (5, 1, 7, 8, 21)])
+        # (3, 7], {1}, (3, 7], (7, 20], (20, inf)
+        assert scheme.components(trades).tolist() == [3, 0, 3, 4, 5]
 
     def test_full_book_component_for_bid_cancel(self):
         scheme = BinningScheme(BinningMode.FULL_BOOK, (1, 3, 10))
         assert scheme.dimension == 24
-        from hawkesflow.events import OrderEvent
-        e = OrderEvent(0, EventType.CANCEL, Side.BID, 12)
+        e = EventTable.from_rows([(0, EventType.CANCEL, Side.BID, 12)])
         # bid block starts at 12, cancel block at +4, volume 12 -> 4th bin
-        assert scheme.component(e) == 19
+        assert scheme.components(e).tolist() == [19]
         assert scheme.labels()[19] == "Cb4"
 
     def test_signed_scheme_orders_sell_then_buy(self):
         scheme = BinningScheme(BinningMode.SIGNED_TRADES, (1, 3, 10))
-        from hawkesflow.events import OrderEvent
-        sell = OrderEvent(0, EventType.TRADE, Side.BID, 2)
-        buy = OrderEvent(0, EventType.TRADE, Side.ASK, 2)
-        assert scheme.component(sell) == 1
-        assert scheme.component(buy) == 5
+        sell_buy = EventTable.from_rows([(0, EventType.TRADE, Side.BID, 2),
+                                         (0, EventType.TRADE, Side.ASK, 2)])
+        assert scheme.components(sell_buy).tolist() == [1, 5]
         assert scheme.labels()[:4] == ["S1", "S2", "S3", "S4"]
 
     def test_assignment_total_over_volume_range(self):
         for mode in BinningMode:
             scheme = BinningScheme(mode, (1, 3, 10))
-            bins = [scheme.volume_bin(v) for v in range(1, 10_001)]
+            trades = EventTable.from_rows([(0, EventType.TRADE, Side.BID, v)
+                                           for v in range(1, 10_001)])
+            bins = (scheme.components(trades) % scheme.n_volume_bins).tolist()
             assert all(0 <= b < scheme.n_volume_bins for b in bins)
             # partition: non-decreasing and hits every bin
             assert sorted(set(bins)) == list(range(scheme.n_volume_bins))
@@ -128,11 +228,9 @@ class TestBinningScheme:
     def test_event_template_inverts_component(self):
         for mode in BinningMode:
             scheme = BinningScheme(mode, (1, 3, 10))
-            from hawkesflow.events import OrderEvent
-            for comp in range(scheme.dimension):
-                etype, side, volume = scheme.event_template(comp)
-                e = OrderEvent(0, etype, side, volume)
-                assert scheme.component(e) == comp
+            templates = EventTable.from_rows(
+                (0, *scheme.event_template(comp)) for comp in range(scheme.dimension))
+            assert scheme.components(templates).tolist() == list(range(scheme.dimension))
 
     def test_config_roundtrip(self, tmp_path):
         scheme = BinningScheme(BinningMode.SIGNED_TRADES, (1, 3, 10))
@@ -151,6 +249,7 @@ class TestBinningScheme:
     def test_edgeless_scheme_ignores_volume(self):
         scheme = BinningScheme(BinningMode.UNSIGNED_TRADES, ())
         assert scheme.dimension == 1
-        assert scheme.volume_bin(1) == 0
-        assert scheme.volume_bin(10_000) == 0
+        trades = EventTable.from_rows([(0, EventType.TRADE, Side.ASK, 1),
+                                       (0, EventType.TRADE, Side.ASK, 10_000)])
+        assert scheme.components(trades).tolist() == [0, 0]
         assert BinningScheme.canonical(1) == scheme

@@ -6,10 +6,11 @@ its level-I footprint.  Reconstruction must recover the script exactly.
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from hawkesflow.events import (
+    EventTable,
     EventType,
-    OrderEvent,
     RawRecord,
     RecordKind,
     ReconstructionDiagnostics,
@@ -17,6 +18,8 @@ from hawkesflow.events import (
     aggregate_simultaneous,
     reconstruct_orders,
 )
+import oracles
+from oracles import event_rows
 
 Q = RecordKind.QUOTE_SNAPSHOT
 T = RecordKind.TRADE
@@ -78,31 +81,31 @@ EXPECTED_SCRIPT = [
 class TestReconstruct:
     def test_scenario_recovers_script(self):
         events = reconstruct_orders(SCENARIO)
-        got = [(e.timestamp_us, e.etype, e.side, e.volume) for e in events]
+        got = [row[:4] for row in event_rows(events)]
         assert got == EXPECTED_SCRIPT
 
     def test_size_increase_is_limit_of_delta(self):
         events = reconstruct_orders([quote(0, 99, 10, 100, 10),
                                      quote(10, 99, 10, 100, 14)])
-        assert [(e.etype, e.side, e.volume) for e in events] == [(L, A, 4)]
+        assert [row[1:4] for row in event_rows(events)] == [(L, A, 4)]
 
     def test_coincident_trade_explains_drop_without_cancel(self):
         events = reconstruct_orders([quote(0, 99, 10, 100, 10),
                                      trade(10, 100, 3, A),
                                      quote(10, 99, 10, 100, 7)])
-        assert [(e.etype, e.side, e.volume) for e in events] == [(TR, A, 3)]
+        assert [row[1:4] for row in event_rows(events)] == [(TR, A, 3)]
 
     def test_price_recede_cancels_full_queue_without_limit(self):
         events = reconstruct_orders([quote(0, 99, 10, 100, 10),
                                      quote(10, 99, 10, 101, 25)])
-        assert [(e.etype, e.side, e.volume) for e in events] == [(C, A, 10)]
+        assert [row[1:4] for row in event_rows(events)] == [(C, A, 10)]
 
     def test_first_record_must_be_snapshot(self):
         with pytest.raises(ValueError):
             reconstruct_orders([trade(0, 100, 1, A)])
 
     def test_empty_input(self):
-        assert reconstruct_orders([]) == []
+        assert reconstruct_orders([]) == EventTable.from_rows([])
 
     def test_inconsistent_snapshot_skipped_and_counted(self):
         bad = RawRecord(10, Q, bid_price=99, bid_size=0, ask_price=100,
@@ -113,23 +116,21 @@ class TestReconstruct:
         assert diag.skipped_records == 1
         assert diag.inconsistent_transitions == 1
         # state survived the skip: next transition still classified
-        assert [(e.etype, e.side, e.volume) for e in events] == [(L, A, 2)]
+        assert [row[1:4] for row in event_rows(events)] == [(L, A, 2)]
 
 
 class TestAggregate:
     def test_same_side_trades_merge(self):
-        events = [OrderEvent(5, TR, A, 2), OrderEvent(5, TR, A, 3)]
+        events = EventTable.from_rows([(5, TR, A, 2), (5, TR, A, 3)])
         merged = aggregate_simultaneous(events)
-        assert [(e.timestamp_us, e.etype, e.side, e.volume) for e in merged] \
-            == [(5, TR, A, 5)]
+        assert [row[:4] for row in event_rows(merged)] == [(5, TR, A, 5)]
 
     def test_opposite_sides_kept(self):
-        events = [OrderEvent(5, TR, A, 2), OrderEvent(5, TR, B, 3)]
+        events = EventTable.from_rows([(5, TR, A, 2), (5, TR, B, 3)])
         assert aggregate_simultaneous(events) == events
 
     def test_identity_without_duplicates(self):
-        events = [OrderEvent(1, L, A, 1), OrderEvent(2, C, B, 2),
-                  OrderEvent(3, TR, A, 4)]
+        events = EventTable.from_rows([(1, L, A, 1), (2, C, B, 2), (3, TR, A, 4)])
         assert aggregate_simultaneous(events) == events
 
     def test_idempotent_on_random_streams(self):
@@ -138,18 +139,29 @@ class TestAggregate:
         etypes = [L, C, TR]
         for _ in range(25):
             ts = np.sort(rng.integers(0, 30, size=60))
-            events = [OrderEvent(int(t), etypes[rng.integers(3)],
-                                 sides[rng.integers(2)],
-                                 int(rng.integers(1, 9))) for t in ts]
+            events = EventTable.from_rows([(int(t), etypes[rng.integers(3)],
+                                            sides[rng.integers(2)],
+                                            int(rng.integers(1, 9))) for t in ts])
             once = aggregate_simultaneous(events)
             twice = aggregate_simultaneous(once)
             assert twice == once
             # volume conservation and key uniqueness
-            assert sum(e.volume for e in once) == sum(e.volume for e in events)
-            keys = [(e.timestamp_us, e.side, e.etype) for e in once]
+            assert once.volume.sum() == events.volume.sum()
+            keys = [(ts, side, etype) for ts, etype, side, *_ in event_rows(once)]
             assert len(keys) == len(set(keys))
+
+    @given(st.lists(st.tuples(st.integers(0, 6), st.sampled_from([L, C, TR]),
+                              st.sampled_from([A, B]), st.integers(1, 9),
+                              st.one_of(st.none(), st.integers(90, 110))),
+                    max_size=40))
+    def test_matches_former_per_event_aggregation(self, rows):
+        events = EventTable.from_rows(sorted(rows, key=lambda r: r[0]))
+        expected = oracles.aggregate_simultaneous(
+            [oracles.OrderEvent(*row) for row in event_rows(events)])
+        assert event_rows(aggregate_simultaneous(events)) == [
+            (e.timestamp_us, e.etype, e.side, e.volume, e.price) for e in expected]
 
     def test_scenario_aggregation_merges_split_order(self):
         events = aggregate_simultaneous(reconstruct_orders(SCENARIO))
-        at_1100 = [e for e in events if e.timestamp_us == 1100]
-        assert [(e.etype, e.side, e.volume) for e in at_1100] == [(TR, A, 5)]
+        at_1100 = [row[1:4] for row in event_rows(events) if row[0] == 1100]
+        assert at_1100 == [(TR, A, 5)]

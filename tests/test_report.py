@@ -7,8 +7,8 @@ from hawkesflow.estimate import build_linlog_grid, estimate_conditional_law
 from hawkesflow.events import (
     BinningMode,
     BinningScheme,
+    EventTable,
     EventType,
-    OrderEvent,
     Side,
     assign_components,
     flow_statistics,
@@ -102,10 +102,10 @@ class TestKernelCurves:
 
 class TestFlowReport:
     def make_stats(self):
-        events = [OrderEvent(1_000_000, EventType.TRADE, Side.ASK, 1),
-                  OrderEvent(2_000_000, EventType.TRADE, Side.BID, 1),
-                  OrderEvent(2_500_000, EventType.TRADE, Side.ASK, 1),
-                  OrderEvent(3_000_000, EventType.TRADE, Side.ASK, 5)]
+        events = EventTable.from_rows([(1_000_000, EventType.TRADE, Side.ASK, 1),
+                                       (2_000_000, EventType.TRADE, Side.BID, 1),
+                                       (2_500_000, EventType.TRADE, Side.ASK, 1),
+                                       (3_000_000, EventType.TRADE, Side.ASK, 5)])
         scheme = BinningScheme(BinningMode.UNSIGNED_TRADES, (1, 3))
         stream = assign_components(events, scheme, duration=10.0)
         return flow_statistics(stream, events_by_session=[events]), scheme
@@ -125,8 +125,8 @@ class TestFlowReport:
         assert pooled == 3  # 4 events -> 3 pooled durations
 
     def test_single_size_stream_gives_single_spike(self, tmp_path):
-        events = [OrderEvent(i * 1_000_000, EventType.TRADE, Side.ASK, 1)
-                  for i in range(1, 6)]
+        events = EventTable.from_rows([(i * 1_000_000, EventType.TRADE, Side.ASK, 1)
+                                       for i in range(1, 6)])
         scheme = BinningScheme(BinningMode.UNSIGNED_TRADES, (1, 3))
         stream = assign_components(events, scheme, duration=10.0)
         stats = flow_statistics(stream, events_by_session=[events])

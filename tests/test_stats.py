@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from hawkesflow.events import (
+    EventTable,
     EventType,
     MultivariateEventStream,
-    OrderEvent,
     Session,
     Side,
     flow_statistics,
@@ -58,8 +58,8 @@ class TestFlowStatistics:
         ts = np.sort(rng.integers(0, 10**9, size=n))
         vols = rng.integers(1, 50, size=n)
         sides = [Side.ASK if u < 0.5 else Side.BID for u in rng.random(n)]
-        events = [OrderEvent(int(t), EventType.TRADE, s, int(v))
-                  for t, s, v in zip(ts, sides, vols)]
+        events = EventTable.from_rows([(int(t), EventType.TRADE, s, int(v))
+                                       for t, s, v in zip(ts, sides, vols)])
         stream = one_session([np.sort(rng.uniform(0, 1000, size=10))], 1000.0)
         stats = flow_statistics(stream, events_by_session=[events], max_lag=20)
         band = 3.0 / np.sqrt(n)
@@ -67,10 +67,10 @@ class TestFlowStatistics:
         assert np.all(np.abs(stats.sign_autocorr[1:]) < band)
 
     def test_signed_volume_histogram(self):
-        events = [OrderEvent(1, EventType.TRADE, Side.ASK, 5),
-                  OrderEvent(2, EventType.TRADE, Side.BID, 5),
-                  OrderEvent(3, EventType.TRADE, Side.ASK, 5),
-                  OrderEvent(4, EventType.LIMIT, Side.ASK, 9)]
+        events = EventTable.from_rows([(1, EventType.TRADE, Side.ASK, 5),
+                                       (2, EventType.TRADE, Side.BID, 5),
+                                       (3, EventType.TRADE, Side.ASK, 5),
+                                       (4, EventType.LIMIT, Side.ASK, 9)])
         stream = one_session([[0.5]], 10.0)
         stats = flow_statistics(stream, events_by_session=[events])
         assert stats.volume_histogram == {-5: 1, 5: 2}

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from hawkesflow.events import (
     BinningMode,
     BinningScheme,
+    EventTable,
     EventType,
     MultivariateEventStream,
-    OrderEvent,
     Session,
     Side,
     assign_components,
@@ -14,6 +15,8 @@ from hawkesflow.events import (
     filter_session,
     randomize_timestamps,
 )
+from hawkesflow.events.stream import _strictly_increasing
+from oracles import event_rows, strictly_increasing
 
 A, B = Side.ASK, Side.BID
 L, C, T = EventType.LIMIT, EventType.CANCEL, EventType.TRADE
@@ -26,22 +29,22 @@ def random_events(rng, n, t_max_us=10_000_000):
     ts = np.sort(rng.integers(0, t_max_us, size=n))
     sides = [A, B]
     etypes = [L, C, T]
-    return [OrderEvent(int(t), etypes[rng.integers(3)], sides[rng.integers(2)],
-                       int(rng.integers(1, 40))) for t in ts]
+    return EventTable.from_rows([(int(t), etypes[rng.integers(3)], sides[rng.integers(2)],
+                                  int(rng.integers(1, 40))) for t in ts])
 
 
 class TestAssignComponents:
     def test_bund_scheme_volume_routing(self):
-        events = [OrderEvent(1_000_000, T, A, 5),    # (3,7] -> bin 3
-                  OrderEvent(2_000_000, T, B, 1),    # {1}   -> bin 0
-                  OrderEvent(3_000_000, L, A, 9)]    # dropped: not a trade
+        events = EventTable.from_rows([(1_000_000, T, A, 5),    # (3,7] -> bin 3
+                                       (2_000_000, T, B, 1),    # {1}   -> bin 0
+                                       (3_000_000, L, A, 9)])   # dropped: not a trade
         stream = assign_components(events, BUND, duration=10.0)
         assert stream.dimension == 6
         counts = stream.total_counts
         assert counts[3] == 1 and counts[0] == 1 and counts.sum() == 2
 
     def test_full_book_keeps_all_events(self):
-        events = [OrderEvent(1_000_000, C, B, 12)]
+        events = EventTable.from_rows([(1_000_000, C, B, 12)])
         stream = assign_components(events, FULL, duration=5.0)
         assert stream.total_counts[19] == 1
 
@@ -50,12 +53,12 @@ class TestAssignComponents:
         events = random_events(rng, 500)
         full = assign_components(events, FULL, duration=20.0)
         assert full.total_counts.sum() == len(events)
-        trades = sum(e.etype is T for e in events)
+        trades = sum(row[1] is T for row in event_rows(events))
         unsigned = assign_components(events, BUND, duration=20.0)
         assert unsigned.total_counts.sum() == trades
 
     def test_ties_within_component_resolved_strictly(self):
-        events = [OrderEvent(1_000, T, A, 5) for _ in range(50)]
+        events = EventTable.from_rows([(1_000, T, A, 5) for _ in range(50)])
         stream = assign_components(events, BUND, duration=1.0)
         t = stream.sessions[0].times[3]
         assert len(t) == 50
@@ -64,13 +67,14 @@ class TestAssignComponents:
         assert t[-1] - t[0] < 10e-6
 
     def test_default_duration_covers_events(self):
-        events = [OrderEvent(2_500_000, T, A, 1)]
+        events = EventTable.from_rows([(2_500_000, T, A, 1)])
         stream = assign_components(events, BUND)
         assert stream.sessions[0].duration == 3.0
 
     def test_combine_streams_checks_dimension(self):
-        s1 = assign_components([], BUND, duration=1.0, session_id="a")
-        s2 = assign_components([], FULL, duration=1.0, session_id="b")
+        empty = EventTable.from_rows([])
+        s1 = assign_components(empty, BUND, duration=1.0, session_id="a")
+        s2 = assign_components(empty, FULL, duration=1.0, session_id="b")
         with pytest.raises(ValueError):
             combine_streams([s1, s2])
         both = combine_streams([s1, s1])
@@ -80,8 +84,8 @@ class TestAssignComponents:
 class TestRandomize:
     def make_stream(self, seed=5, n=400):
         rng = np.random.default_rng(seed)
-        events = [OrderEvent(int(t), T, A, 1)
-                  for t in np.sort(rng.integers(0, 50_000_000, size=n))]
+        events = EventTable.from_rows(
+            [(int(t), T, A, 1) for t in np.sort(rng.integers(0, 50_000_000, size=n))])
         return assign_components(events, BinningScheme.canonical(2),
                                  duration=50.0)
 
@@ -116,7 +120,7 @@ class TestRandomize:
             assert np.max(np.abs(np.sort(t_new) - np.sort(t_old))) <= bound
 
     def test_negative_results_clamped_and_counted(self):
-        events = [OrderEvent(3, T, A, 1), OrderEvent(20, T, A, 1)]
+        events = EventTable.from_rows([(3, T, A, 1), (20, T, A, 1)])
         stream = assign_components(events, BinningScheme.canonical(2),
                                    duration=1.0)
         out = randomize_timestamps(stream, 10.0, 50.0, seed=9)
@@ -182,7 +186,7 @@ class TestFilterSession:
 
 class TestBoundaryTies:
     def test_tied_events_at_session_end_stay_inside(self):
-        events = [OrderEvent(5_000_000, T, A, 1) for _ in range(50)]
+        events = EventTable.from_rows([(5_000_000, T, A, 1) for _ in range(50)])
         stream = assign_components(events, BinningScheme.canonical(1),
                                    duration=5.0)
         t = stream.sessions[0].times[0]
@@ -191,6 +195,21 @@ class TestBoundaryTies:
         assert t[-1] == 5.0
 
     def test_events_beyond_declared_duration_rejected(self):
-        events = [OrderEvent(6_000_000, T, A, 1)]
+        events = EventTable.from_rows([(6_000_000, T, A, 1)])
         with pytest.raises(ValueError, match="beyond the declared"):
             assign_components(events, BinningScheme.canonical(1), duration=5.0)
+
+
+class TestStrictlyIncreasing:
+    # sorted nonnegative times drawn from a few values, so that ties and
+    # runs of ties are common; 0.0, -0.0, the smallest subnormal and 1e300
+    # are among them
+    @given(st.lists(st.sampled_from([0.0, -0.0, 5e-324, 1e-6, 1.0,
+                                     np.nextafter(1.0, 2.0), 5e4, 1e300]),
+                    max_size=40),
+           st.lists(st.floats(0.0, 1e5), max_size=20))
+    def test_matches_former_loop_bit_for_bit(self, tied, spread):
+        t = np.sort(np.array(tied + spread, dtype=float))
+        got = _strictly_increasing(t.copy())
+        expected = strictly_increasing(t.copy())
+        assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()

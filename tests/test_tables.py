@@ -12,7 +12,7 @@ from hawkesflow import report
 from hawkesflow.estimate import (ConditionalLawMatrix, build_linlog_grid,
                                  estimate_conditional_law, save_claw)
 from hawkesflow.events import (BinningMode, BinningScheme, EventType,
-                               FlowStatistics, OrderEvent, Side,
+                               EventTable, FlowStatistics, Side,
                                assign_components, flow_statistics)
 from hawkesflow.simulate import ExponentialKernel, HawkesModel, simulate
 from hawkesflow.whsolve import (KernelEstimate, build_quadrature, save_kernel_estimate,
@@ -89,10 +89,10 @@ def special_flow_stats():
 
 
 def simulated_flow_stats():
-    events = [OrderEvent(1_000_000, EventType.TRADE, Side.ASK, 1),
-              OrderEvent(2_000_000, EventType.TRADE, Side.BID, 4),
-              OrderEvent(2_500_000, EventType.TRADE, Side.ASK, 1),
-              OrderEvent(3_000_000, EventType.TRADE, Side.ASK, 5)]
+    events = EventTable.from_rows([(1_000_000, EventType.TRADE, Side.ASK, 1),
+                                   (2_000_000, EventType.TRADE, Side.BID, 4),
+                                   (2_500_000, EventType.TRADE, Side.ASK, 1),
+                                   (3_000_000, EventType.TRADE, Side.ASK, 5)])
     scheme = BinningScheme(BinningMode.UNSIGNED_TRADES, (1, 3))
     stream = assign_components(events, scheme, duration=10.0)
     return flow_statistics(stream, events_by_session=[events]), scheme.labels()
