@@ -76,11 +76,10 @@ class AcceptanceSuite:
     """Runs the criteria in order, sharing datasets and collecting every
     solve so the exactness and identity criteria cover all of them."""
 
-    def __init__(self, tolerance_scale: float = 1.0, workers: int | None = None):
+    def __init__(self, tolerance_scale: float = 1.0):
         if tolerance_scale <= 0:
             raise ValueError("tolerance scale must be positive")
         self.scale = tolerance_scale
-        self.workers = workers
         self.solves = []  # (label, KernelEstimate)
         self._exp1d = None  # cached criterion-2 dataset
 
@@ -91,7 +90,7 @@ class AcceptanceSuite:
             model = HawkesModel.linear([1.0], [[ExponentialKernel(0.5, 10.0)]])
             stream = simulate(model, 2e5, seed=SEED_EXP_1D)
             grid = build_linlog_grid(h_min=1e-3, h_max=5.0, n_lin=50, n_log=300)
-            claw = estimate_conditional_law(stream, grid, workers=self.workers)
+            claw = estimate_conditional_law(stream, grid)
             est = solve_wiener_hopf(claw, build_quadrature())
             self._exp1d = (model, stream, grid, claw, est)
         return self._exp1d
@@ -111,7 +110,7 @@ class AcceptanceSuite:
                          [ZeroKernel(), ZeroKernel()]])
         stream = simulate(model, 1e5, seed=SEED_POISSON)
         grid = build_linlog_grid(h_min=1e-3, h_max=10.0, n_lin=50, n_log=300)
-        claw = estimate_conditional_law(stream, grid, workers=self.workers)
+        claw = estimate_conditional_law(stream, grid)
         est = solve_wiener_hopf(claw, build_quadrature())
         self._record("poisson_null", est)
 
@@ -167,7 +166,7 @@ class AcceptanceSuite:
              [ExponentialKernel(0.4, 10.0), ZeroKernel()]])
         stream = simulate(model, 1e5, seed=SEED_DIRECTED)
         grid = build_linlog_grid(h_min=1e-3, h_max=5.0, n_lin=50, n_log=300)
-        claw = estimate_conditional_law(stream, grid, workers=self.workers)
+        claw = estimate_conditional_law(stream, grid)
         est = solve_wiener_hopf(claw, build_quadrature())
         self._record("directed_2d", est)
         c.expect("|n_11|", abs(float(est.norms[0, 0])), None, 0.05 * s)
@@ -191,7 +190,7 @@ class AcceptanceSuite:
             mark_values=[1.0, 2.0], mark_probs=[0.5, 0.5])
         stream = simulate(model, 1.5e5, seed=SEED_FACTORIZED)
         grid = build_linlog_grid(h_min=1e-3, h_max=5.0, n_lin=50, n_log=300)
-        claw = estimate_conditional_law(stream, grid, workers=self.workers)
+        claw = estimate_conditional_law(stream, grid)
         est = solve_wiener_hopf(claw, build_quadrature())
         self._record("factorized", est)
 
@@ -261,7 +260,7 @@ class AcceptanceSuite:
                   ExponentialKernel(a_diag[1], b[3])]],
                 flavor="positive_part")
             stream = simulate(model, 2e4, seed=SEED_INHIBITION + run + 1)
-            claw = estimate_conditional_law(stream, grid, workers=self.workers)
+            claw = estimate_conditional_law(stream, grid)
             report = verify_negativity_propagation(claw, quad)
             hypotheses += int(report.hypothesis_holds)
             found += int(report.negative_found)
@@ -299,7 +298,7 @@ class AcceptanceSuite:
         model, stream, grid, claw, est = self._exp1d_dataset()
         rand = randomize_timestamps(stream, round_to_us=10.0,
                                     jitter_width_us=50.0, seed=SEED_RANDOMIZE)
-        claw_r = estimate_conditional_law(rand, grid, workers=self.workers)
+        claw_r = estimate_conditional_law(rand, grid)
         est_r = solve_wiener_hopf(claw_r, est.quad)
         self._record("exp_1d_randomized", est_r)
         rel = float(np.max(np.abs(est_r.rescaled - est.rescaled)
@@ -347,15 +346,12 @@ class AcceptanceSuite:
         return [methods[n]() for n in numbers]
 
 
-def run_acceptance(tolerance_scale: float = 1.0, workers: int | None = None,
-                   criteria: list[int] | None = None,
-                   echo=print) -> list[CriterionResult]:
-    suite = AcceptanceSuite(tolerance_scale, workers=workers)
+def run_acceptance(tolerance_scale: float = 1.0,
+                   criteria: list[int] | None = None) -> list[CriterionResult]:
     results = []
-    for result in suite.run(criteria):
+    for result in AcceptanceSuite(tolerance_scale).run(criteria):
         results.append(result)
-        if echo is not None:
-            echo(result.line())
-            for line in result.checks:
-                echo(line)
+        print(result.line())
+        for line in result.checks:
+            print(line)
     return results

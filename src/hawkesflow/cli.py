@@ -295,7 +295,6 @@ def cmd_report(args, config: RunConfig) -> int:
 
 def cmd_roundtrip(args, config: RunConfig) -> int:
     results = run_acceptance(tolerance_scale=args.tolerance_scale,
-                             workers=config.threads,
                              criteria=args.criteria)
     failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} criteria passed")

@@ -286,32 +286,30 @@ def estimate_conditional_law(stream: MultivariateEventStream,
     pair_tot = sum(pairs for pairs, _ in per_session)
     adm_tot = sum(adm for _, adm in per_session)
 
+    # (D, D, B) arrays over (i, j, bin); a (D, B) array over (j, bin)
+    # broadcasts against them, and bins without admissible j-events stay 0.
     values = np.zeros((d, d, n_bins))
     stderr = np.zeros((d, d, n_bins))
     if weighting == "events":
-        for i in range(d):
-            for j in range(d):
-                ok = adm_tot[j] > 0
-                denom = widths[ok] * adm_tot[j][ok]
-                values[i, j, ok] = pair_tot[i, j][ok] / denom - lam[i]
-                stderr[i, j, ok] = np.sqrt(pair_tot[i, j][ok]) / denom
+        ok = adm_tot > 0
+        denom = widths * adm_tot
+        np.divide(pair_tot, denom, out=values, where=ok)
+        np.divide(np.sqrt(pair_tot), denom, out=stderr, where=ok)
     else:
-        for i in range(d):
-            for j in range(d):
-                acc = np.zeros(n_bins)
-                var = np.zeros(n_bins)
-                n_ok = np.zeros(n_bins, dtype=np.int64)
-                for sess_pairs, sess_adm in per_session:
-                    pairs, adm = sess_pairs[i, j], sess_adm[j]
-                    ok = adm > 0
-                    denom = widths[ok] * adm[ok]
-                    acc[ok] += pairs[ok] / denom
-                    var[ok] += pairs[ok] / denom ** 2
-                    n_ok[ok] += 1
-                ok = n_ok > 0
-                values[i, j, ok] = acc[ok] / n_ok[ok] - lam[i]
-                stderr[i, j, ok] = np.sqrt(var[ok]) / n_ok[ok]
+        acc = np.zeros((d, d, n_bins))
+        var = np.zeros((d, d, n_bins))
+        n_ok = np.zeros((d, n_bins), dtype=np.int64)
+        for pairs, adm in per_session:
+            sess_ok = adm > 0
+            denom = np.where(sess_ok, widths * adm, 1.0)
+            np.add(acc, pairs / denom, out=acc, where=sess_ok)
+            np.add(var, pairs / denom ** 2, out=var, where=sess_ok)
+            n_ok += sess_ok
+        ok = n_ok > 0
+        np.divide(acc, n_ok, out=values, where=ok)
+        np.divide(np.sqrt(var), n_ok, out=stderr, where=ok)
         # flagging still keyed on pooled admissibility
+    np.subtract(values, lam[:, None, None], out=values, where=ok)
     return ConditionalLawMatrix(
         grid, values, stderr, pair_tot, adm_tot, lam, stream.total_time,
         meta={"weighting": weighting, "sessions": len(stream.sessions)})

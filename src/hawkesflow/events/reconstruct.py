@@ -11,7 +11,7 @@ Each best-quote transition is classified side by side:
   coincident trades; the newly revealed level generates no limit event,
   since depth beyond level I is unobservable.
 
-Trade records always become trade events with their recorded volume.
+Valid trade records always become trade events with their recorded volume.
 """
 
 from __future__ import annotations
@@ -87,7 +87,8 @@ def reconstruct_orders(records: list[RawRecord],
     """Classify snapshot transitions and trade records into an event table.
 
     ``records`` must be sorted by timestamp and start with a quote snapshot.
-    Inconsistent records are skipped and counted in ``diagnostics``.
+    Records that fail :meth:`RawRecord.validate` (nonpositive price, size or
+    volume, crossed quotes) are skipped and counted in ``diagnostics``.
     """
     if records and records[0].kind is not RecordKind.QUOTE_SNAPSHOT:
         raise ValueError("first record must be a quote snapshot")
@@ -97,7 +98,14 @@ def reconstruct_orders(records: list[RawRecord],
     best: dict[Side, tuple[int, int]] = {}
 
     for ts, group_iter in groupby(records, key=lambda r: r.timestamp_us):
-        group = list(group_iter)
+        group = []
+        for rec in group_iter:
+            try:
+                rec.validate()
+            except ValueError as exc:
+                diag.note(f"t={ts}: {rec.kind.name.lower()} record skipped: {exc}")
+            else:
+                group.append(rec)
         # Trade volume available to explain queue drops at this timestamp.
         avail = {Side.ASK: 0, Side.BID: 0}
         for rec in group:
@@ -110,10 +118,6 @@ def reconstruct_orders(records: list[RawRecord],
                 continue
             new = {Side.ASK: (rec.ask_price, rec.ask_size),
                    Side.BID: (rec.bid_price, rec.bid_size)}
-            if any(p is None or s is None or p <= 0 or s <= 0
-                   for p, s in new.values()):
-                diag.note(f"t={ts}: snapshot with nonpositive price or size")
-                continue
             if best:
                 for side in (Side.ASK, Side.BID):
                     events.extend(_side_transition(

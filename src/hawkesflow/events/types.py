@@ -311,11 +311,6 @@ class MultivariateEventStream:
             out += s.counts
         return out
 
-    def single(self) -> Session:
-        if len(self.sessions) != 1:
-            raise ValueError("stream holds more than one session")
-        return self.sessions[0]
-
 
 @dataclass(frozen=True)
 class FlowStatistics:

@@ -84,13 +84,6 @@ class LinLogGrid:
     def widths(self) -> np.ndarray:
         return np.diff(self.edges)
 
-    @property
-    def centers(self) -> np.ndarray:
-        """Geometric-mean representative lag per bin (arithmetic for bin 0)."""
-        left, right = self.edges[:-1], self.edges[1:]
-        out = np.sqrt(np.where(left > 0, left, right / 4.0) * right)
-        return out
-
     def bin_index(self, lags):
         """Bin index for each lag in ``(0, h_max]``; -1 when out of range."""
         lags = np.asarray(lags, dtype=float)

@@ -53,107 +53,25 @@ class KernelSpec:
     def upper_bound_from_vec(self, taus: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def is_exponential_family(self) -> bool:
-        return False
-
-    def exp_terms(self) -> list[tuple[float, float]]:
-        """(alpha, beta) pairs when the kernel is a sum of exponentials."""
-        raise NotImplementedError(f"{type(self).__name__} is not exponential")
-
     def to_dict(self) -> dict:
         raise NotImplementedError
 
 
 @dataclass(frozen=True)
-class ZeroKernel(KernelSpec):
-    def value(self, t):
-        return np.zeros_like(np.asarray(t, dtype=float))
-
-    def norm(self) -> float:
-        return 0.0
-
-    def positive_norm(self) -> float:
-        return 0.0
-
-    def support(self, eps: float = 1e-8) -> float:
-        return 0.0
-
-    def nonnegative(self) -> bool:
-        return True
-
-    def upper_bound_from_vec(self, taus: np.ndarray) -> np.ndarray:
-        return np.zeros_like(np.asarray(taus, dtype=float))
-
-    def is_exponential_family(self) -> bool:
-        return True
-
-    def exp_terms(self) -> list[tuple[float, float]]:
-        return []
-
-    def to_dict(self) -> dict:
-        return {"type": "zero"}
-
-
-@dataclass(frozen=True)
-class ExponentialKernel(KernelSpec):
-    """``phi(t) = alpha * beta * exp(-beta t)``; ``alpha`` is the L1 norm.
-
-    ``alpha`` may be negative (inhibitory kernel for positive-part models).
+class SumOfExponentialsKernel(KernelSpec):
+    """``phi(t) = sum_k alpha_k * beta_k * exp(-beta_k t)``; the L1 norm is
+    the sum of the ``alpha_k``, which may be negative (inhibitory terms for
+    positive-part models).  No terms is the zero kernel.
     """
 
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
-            raise ValueError("alpha and beta must be finite")
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
-
-    def value(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.where(t >= 0, self.alpha * self.beta * np.exp(-self.beta * t), 0.0)
-
-    def norm(self) -> float:
-        return self.alpha
-
-    def positive_norm(self) -> float:
-        return max(self.alpha, 0.0)
-
-    def support(self, eps: float = 1e-8) -> float:
-        peak = abs(self.alpha) * self.beta
-        if peak <= eps:
-            return 0.0
-        return np.log(peak / eps) / self.beta
-
-    def nonnegative(self) -> bool:
-        return self.alpha >= 0.0
-
-    def upper_bound_from_vec(self, taus: np.ndarray) -> np.ndarray:
-        taus = np.maximum(np.asarray(taus, dtype=float), 0.0)
-        if self.alpha <= 0:
-            return np.zeros_like(taus)
-        return self.alpha * self.beta * np.exp(-self.beta * taus)
-
-    def is_exponential_family(self) -> bool:
-        return True
-
-    def exp_terms(self) -> list[tuple[float, float]]:
-        return [(self.alpha, self.beta)]
-
-    def to_dict(self) -> dict:
-        return {"type": "exponential", "alpha": self.alpha, "beta": self.beta}
-
-
-@dataclass(frozen=True)
-class SumOfExponentialsKernel(KernelSpec):
     terms: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        if not self.terms:
-            raise ValueError("need at least one (alpha, beta) term")
         for a, b in self.terms:
-            ExponentialKernel(a, b)  # each term passes the single-term checks
+            if not (math.isfinite(a) and math.isfinite(b)):
+                raise ValueError("alpha and beta must be finite")
+            if b <= 0:
+                raise ValueError("beta must be positive")
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
@@ -168,11 +86,20 @@ class SumOfExponentialsKernel(KernelSpec):
     def positive_norm(self) -> float:
         if all(a >= 0 for a, _ in self.terms):
             return self.norm()
+        if all(a <= 0 for a, _ in self.terms):
+            return 0.0
         return _positive_norm_by_quadrature(self)
 
+    def nonnegative(self) -> bool:
+        if all(a >= 0 for a, _ in self.terms):
+            return True
+        if all(a <= 0 for a, _ in self.terms):
+            return False
+        return super().nonnegative()
+
     def support(self, eps: float = 1e-8) -> float:
-        return max(ExponentialKernel(a, b).support(eps) if a != 0 else 0.0
-                   for a, b in self.terms)
+        return max((np.log(abs(a) * b / eps) / b for a, b in self.terms
+                    if abs(a) * b > eps), default=0.0)
 
     def upper_bound_from_vec(self, taus: np.ndarray) -> np.ndarray:
         taus = np.maximum(np.asarray(taus, dtype=float), 0.0)
@@ -182,15 +109,24 @@ class SumOfExponentialsKernel(KernelSpec):
                 out += a * b * np.exp(-b * taus)
         return out
 
-    def is_exponential_family(self) -> bool:
-        return True
-
-    def exp_terms(self) -> list[tuple[float, float]]:
-        return list(self.terms)
-
     def to_dict(self) -> dict:
+        if not self.terms:
+            return {"type": "zero"}
+        if len(self.terms) == 1:
+            (a, b), = self.terms
+            return {"type": "exponential", "alpha": a, "beta": b}
         return {"type": "sum_of_exponentials",
                 "terms": [[a, b] for a, b in self.terms]}
+
+
+def ZeroKernel() -> SumOfExponentialsKernel:
+    """The zero kernel: an empty sum of exponentials."""
+    return SumOfExponentialsKernel(())
+
+
+def ExponentialKernel(alpha: float, beta: float) -> SumOfExponentialsKernel:
+    """``phi(t) = alpha * beta * exp(-beta t)``; ``alpha`` is the L1 norm."""
+    return SumOfExponentialsKernel(((alpha, beta),))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,14 @@ from enum import Enum
 import numpy as np
 
 from ..errors import StabilityError
-from .kernels import KernelSpec, ZeroKernel, kernel_from_dict
+from .kernels import (
+    KernelSpec,
+    PowerLawKernel,
+    SumOfExponentialsKernel,
+    TabulatedKernel,
+    ZeroKernel,
+    kernel_from_dict,
+)
 
 __all__ = [
     "ModelFlavor",
@@ -164,11 +171,9 @@ def _scaled_kernel(kernel: KernelSpec, factor: float) -> KernelSpec:
     """Kernel scaled by a nonnegative factor; exact for exponential sums."""
     if factor == 0.0:
         return ZeroKernel()
-    if kernel.is_exponential_family():
-        from .kernels import SumOfExponentialsKernel
-        terms = tuple((a * factor, b) for a, b in kernel.exp_terms())
-        return SumOfExponentialsKernel(terms)
-    from .kernels import PowerLawKernel, TabulatedKernel
+    if isinstance(kernel, SumOfExponentialsKernel):
+        return SumOfExponentialsKernel(
+            tuple((a * factor, b) for a, b in kernel.terms))
     if isinstance(kernel, PowerLawKernel):
         return PowerLawKernel(kernel.c * factor, kernel.gamma, kernel.t0)
     if isinstance(kernel, TabulatedKernel):

@@ -37,6 +37,7 @@ import numpy as np
 
 from ..errors import StabilityError
 from ..events.types import MultivariateEventStream, Session
+from .kernels import SumOfExponentialsKernel
 from .model import HawkesModel
 
 __all__ = ["simulate"]
@@ -119,10 +120,10 @@ def _thin(model: HawkesModel, total_time: float,
     src_windowed = [[] for _ in range(d)]
     for i, row in enumerate(model.kernels):
         for j, kernel in enumerate(row):
-            if not kernel.is_exponential_family():
+            if not isinstance(kernel, SumOfExponentialsKernel):
                 src_windowed[j].append((i, kernel))
                 continue
-            for alpha, beta in kernel.exp_terms():
+            for alpha, beta in kernel.terms:
                 if alpha != 0.0:
                     src_terms[j].append(len(jumps))
                     jumps.append(alpha * beta)

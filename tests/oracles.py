@@ -40,7 +40,12 @@ from hawkesflow.estimate import ConditionalLawMatrix
 from hawkesflow.events import EventType, FlowStatistics, Side
 from hawkesflow.events.io import EVENT_HEADER, _check_header
 from hawkesflow.events.types import _FULL_BOOK_TYPE_ORDER, _SIDE_ORDER
-from hawkesflow.simulate import HawkesModel, ModelFlavor, PowerLawKernel
+from hawkesflow.simulate import (
+    HawkesModel,
+    ModelFlavor,
+    PowerLawKernel,
+    SumOfExponentialsKernel,
+)
 from hawkesflow.whsolve import KernelEstimate
 from hawkesflow.simulate.thinning import KERNEL_TRUNCATION_EPS
 
@@ -156,6 +161,50 @@ def session_pair_counts(t_i: np.ndarray, t_j: np.ndarray, duration: float,
             n_next = int(adm[b + 1])  # n_next <= n_b: windows shrink
             left_sum = right_sum - int(counts[n_next:n_b].sum())
     return pairs, adm
+
+
+def normalized_law(stream, grid, lam: np.ndarray,
+                   weighting: str) -> tuple[np.ndarray, np.ndarray]:
+    """Conditional-law values and standard errors by the estimator's former
+    per-(i, j) loops over the :func:`session_pair_counts` of each session."""
+    d, n_bins, widths = stream.dimension, grid.n_bins, grid.widths
+    per_session = []
+    for sess in stream.sessions:
+        pairs = np.zeros((d, d, n_bins), dtype=np.int64)
+        adm = np.zeros((d, n_bins), dtype=np.int64)
+        for i in range(d):
+            for j in range(d):
+                pairs[i, j], adm[j] = session_pair_counts(
+                    sess.times[i], sess.times[j], sess.duration, grid.edges)
+        per_session.append((pairs, adm))
+    pair_tot = sum(pairs for pairs, _ in per_session)
+    adm_tot = sum(adm for _, adm in per_session)
+    values = np.zeros((d, d, n_bins))
+    stderr = np.zeros((d, d, n_bins))
+    if weighting == "events":
+        for i in range(d):
+            for j in range(d):
+                ok = adm_tot[j] > 0
+                denom = widths[ok] * adm_tot[j][ok]
+                values[i, j, ok] = pair_tot[i, j][ok] / denom - lam[i]
+                stderr[i, j, ok] = np.sqrt(pair_tot[i, j][ok]) / denom
+        return values, stderr
+    for i in range(d):
+        for j in range(d):
+            acc = np.zeros(n_bins)
+            var = np.zeros(n_bins)
+            n_ok = np.zeros(n_bins, dtype=np.int64)
+            for sess_pairs, sess_adm in per_session:
+                pairs, adm = sess_pairs[i, j], sess_adm[j]
+                ok = adm > 0
+                denom = widths[ok] * adm[ok]
+                acc[ok] += pairs[ok] / denom
+                var[ok] += pairs[ok] / denom ** 2
+                n_ok[ok] += 1
+            ok = n_ok > 0
+            values[i, j, ok] = acc[ok] / n_ok[ok] - lam[i]
+            stderr[i, j, ok] = np.sqrt(var[ok]) / n_ok[ok]
+    return values, stderr
 
 
 def brute_force_pair_counts(t_i: np.ndarray, t_j: np.ndarray, duration: float,
@@ -325,7 +374,7 @@ def _simulate_exponential(model: HawkesModel, total_time: float,
     jumps, betas, tgt, src = [], [], [], []
     for i in range(d):
         for j in range(d):
-            for alpha, beta in model.kernels[i][j].exp_terms():
+            for alpha, beta in model.kernels[i][j].terms:
                 if alpha == 0.0:
                     continue
                 jumps.append(alpha * beta)
@@ -475,8 +524,8 @@ def compensator_increments(model: HawkesModel, stream,
     terms, power_laws = [], []
     for i, row in enumerate(model.kernels):
         for j, kernel in enumerate(row):
-            if kernel.is_exponential_family():
-                terms += [(a, b, i, j) for a, b in kernel.exp_terms() if a != 0.0]
+            if isinstance(kernel, SumOfExponentialsKernel):
+                terms += [(a, b, i, j) for a, b in kernel.terms if a != 0.0]
             elif isinstance(kernel, PowerLawKernel) and not clip:
                 power_laws.append((kernel, i, j))
             else:

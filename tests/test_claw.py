@@ -19,6 +19,7 @@ from hawkesflow.simulate import (
 from oracles import (
     direct_negative_lag_counts,
     fixed_point_claw,
+    normalized_law,
     stderr_at_lag,
     value_at_lag,
 )
@@ -203,6 +204,27 @@ class TestConditionalLaw:
         threaded = estimate_conditional_law(stream, grid, workers=4)
         assert np.array_equal(serial.values, threaded.values)
         assert np.array_equal(serial.pair_counts, threaded.pair_counts)
+
+
+class TestLawNormalisation:
+    @pytest.mark.parametrize("weighting", ["events", "sessions"])
+    def test_bit_identical_to_former_loops(self, weighting):
+        # three sessions of unequal length; component 1 fires only in the
+        # one shorter than h_max, so its far bins admit no j-event at all
+        rng = np.random.default_rng(41)
+        sessions = []
+        for k, (duration, n) in enumerate([(40.0, 60), (3.0, 9), (25.0, 40)]):
+            times = [np.sort(rng.uniform(0, duration, n)) for _ in range(3)]
+            if k != 1:
+                times[1] = np.empty(0)
+            sessions.append(stream_of(times, duration, f"s{k}"))
+        stream = combine_streams(sessions)
+        grid = build_linlog_grid(h_min=0.05, h_max=5.0, n_lin=5, n_log=20)
+        claw = estimate_conditional_law(stream, grid, weighting=weighting)
+        values, stderr = normalized_law(stream, grid, claw.lam, weighting)
+        assert not np.all(claw.admissible > 0)
+        assert claw.values.tobytes() == values.tobytes()
+        assert claw.stderr.tobytes() == stderr.tobytes()
 
 
 class TestLagLookup:

@@ -131,6 +131,94 @@ class TestKernels:
             assert again == k
 
 
+class TestExponentialFamily:
+    def test_zero_and_exponential_are_sums_of_exponentials(self):
+        assert ZeroKernel() == SumOfExponentialsKernel(())
+        assert ExponentialKernel(0.3, 7.0) == SumOfExponentialsKernel(((0.3, 7.0),))
+
+    def test_one_term_sum_loads_as_exponential(self):
+        k = kernel_from_dict({"type": "sum_of_exponentials",
+                              "terms": [[0.3, 7.0]]})
+        assert k == ExponentialKernel(0.3, 7.0)
+        assert k.to_dict() == {"type": "exponential", "alpha": 0.3, "beta": 7.0}
+
+    def test_empty_sum_is_the_zero_kernel(self):
+        k = kernel_from_dict({"type": "sum_of_exponentials", "terms": []})
+        assert k.to_dict() == {"type": "zero"}
+        assert k.norm() == k.positive_norm() == k.support() == 0.0
+        assert k.nonnegative()
+        assert np.array_equal(k.value([-1.0, 0.0, 2.0]), np.zeros(3))
+        assert np.array_equal(k.upper_bound_from_vec([0.0, 2.0]), np.zeros(2))
+
+    @pytest.mark.parametrize("alpha, beta", [(0.5, 0.0), (0.5, -2.0)])
+    def test_nonpositive_beta_rejected(self, alpha, beta):
+        with pytest.raises(ValueError, match="beta must be positive"):
+            ExponentialKernel(alpha, beta)
+        with pytest.raises(ValueError, match="beta must be positive"):
+            SumOfExponentialsKernel(((0.2, 3.0), (alpha, beta)))
+
+    def test_single_sign_terms_skip_the_quadrature(self):
+        k = SumOfExponentialsKernel(((-0.2, 3.0), (-0.1, 9.0)))
+        assert k.positive_norm() == 0.0
+        assert not k.nonnegative()
+        assert not ExponentialKernel(-1e-15, 1.0).nonnegative()
+
+
+# to_dict() and content_hash() of each model kind, pinned so that existing
+# model files keep their bytes and their hashes.
+PINNED_MODELS = {
+    "zero": (
+        lambda: HawkesModel.linear([1.0, 2.0], [[ZeroKernel(), ZeroKernel()],
+                                                [ZeroKernel(), ZeroKernel()]]),
+        "1ed5d26260332e78",
+        {"dimension": 2, "flavor": "linear", "baseline": [1.0, 2.0],
+         "kernels": [[{"type": "zero"}, {"type": "zero"}],
+                     [{"type": "zero"}, {"type": "zero"}]]}),
+    "exponential": (
+        lambda: HawkesModel.linear([1.0], [[ExponentialKernel(0.5, 10.0)]]),
+        "b8dbb7310c06a3a7",
+        {"dimension": 1, "flavor": "linear", "baseline": [1.0],
+         "kernels": [[{"type": "exponential", "alpha": 0.5, "beta": 10.0}]]}),
+    "sum_of_exponentials": (
+        lambda: HawkesModel.linear(
+            [1.0], [[SumOfExponentialsKernel(((0.2, 5.0), (0.3, 40.0)))]]),
+        "c36a0d7c888aec5f",
+        {"dimension": 1, "flavor": "linear", "baseline": [1.0],
+         "kernels": [[{"type": "sum_of_exponentials",
+                       "terms": [[0.2, 5.0], [0.3, 40.0]]}]]}),
+    "power_law": (
+        lambda: HawkesModel.linear([0.5], [[PowerLawKernel(0.002, 2.0, 0.01)]]),
+        "1c55cc4023be5ed8",
+        {"dimension": 1, "flavor": "linear", "baseline": [0.5],
+         "kernels": [[{"type": "power_law", "c": 0.002, "gamma": 2.0,
+                       "t0": 0.01}]]}),
+    "tabulated": (
+        lambda: HawkesModel.linear(
+            [1.0], [[TabulatedKernel((0.0, 0.1, 0.5), (2.0, 1.0, 0.0))]]),
+        "4cbbd2e3c6cc1f1a",
+        {"dimension": 1, "flavor": "linear", "baseline": [1.0],
+         "kernels": [[{"type": "tabulated", "grid": [0.0, 0.1, 0.5],
+                       "values": [2.0, 1.0, 0.0]}]]}),
+    "factorized": (
+        lambda: HawkesModel.factorized(2.0, ExponentialKernel(0.3, 8.0),
+                                       [1.0, 1.5, 2.0], [0.5, 0.3, 0.2]),
+        "a76d974680dd3297",
+        {"dimension": 3, "flavor": "factorized", "baseline_total": 2.0,
+         "base_kernel": {"type": "exponential", "alpha": 0.3, "beta": 8.0},
+         "mark_values": [1.0, 1.5, 2.0], "mark_probs": [0.5, 0.3, 0.2]}),
+}
+
+
+class TestPinnedSerialization:
+    @pytest.mark.parametrize("name", sorted(PINNED_MODELS))
+    def test_to_dict_and_content_hash(self, name):
+        build, digest, spec = PINNED_MODELS[name]
+        model = build()
+        assert model.to_dict() == spec
+        assert model.content_hash() == digest
+        assert HawkesModel.from_dict(spec).content_hash() == digest
+
+
 class TestHawkesModel:
     def test_linear_flavor_rejects_negative_norms(self):
         with pytest.raises(ValueError):

@@ -119,6 +119,18 @@ class TestReconstruct:
         assert [row[1:4] for row in event_rows(events)] == [(L, A, 2)]
 
 
+    @pytest.mark.parametrize("bad", [trade(20, 0, 3, A), trade(20, -48, 3, A),
+                                     trade(20, 100, 0, A)])
+    def test_invalid_trade_skipped_and_counted(self, bad):
+        # built directly, bypassing parse checks; its volume must not explain
+        # the queue drop either, which therefore reads as a cancel
+        diag = ReconstructionDiagnostics()
+        events = reconstruct_orders([quote(0, 99, 10, 100, 10), bad,
+                                     quote(20, 99, 10, 100, 7)], diag)
+        assert diag.skipped_records == 1
+        assert "trade record skipped: nonpositive" in diag.messages[0]
+        assert [row[:4] for row in event_rows(events)] == [(20, C, A, 3)]
+
 class TestAggregate:
     def test_same_side_trades_merge(self):
         events = EventTable.from_rows([(5, TR, A, 2), (5, TR, A, 3)])
