@@ -114,9 +114,9 @@ class SumOfExponentialsKernel(KernelSpec):
             return {"type": "zero"}
         if len(self.terms) == 1:
             (a, b), = self.terms
-            return {"type": "exponential", "alpha": a, "beta": b}
+            return {"type": "exponential", "alpha": float(a), "beta": float(b)}
         return {"type": "sum_of_exponentials",
-                "terms": [[a, b] for a, b in self.terms]}
+                "terms": [[float(a), float(b)] for a, b in self.terms]}
 
 
 def ZeroKernel() -> SumOfExponentialsKernel:
@@ -168,8 +168,8 @@ class PowerLawKernel(KernelSpec):
         return self.c * (taus + self.t0) ** -self.gamma
 
     def to_dict(self) -> dict:
-        return {"type": "power_law", "c": self.c, "gamma": self.gamma,
-                "t0": self.t0}
+        return {"type": "power_law", "c": float(self.c),
+                "gamma": float(self.gamma), "t0": float(self.t0)}
 
 
 @dataclass(frozen=True)
@@ -230,8 +230,8 @@ class TabulatedKernel(KernelSpec):
         return np.where(taus >= g[-1], 0.0, np.maximum(out, 0.0))
 
     def to_dict(self) -> dict:
-        return {"type": "tabulated", "grid": list(self.grid),
-                "values": list(self.values)}
+        return {"type": "tabulated", "grid": [float(x) for x in self.grid],
+                "values": [float(x) for x in self.values]}
 
 
 def _positive_norm_by_quadrature(kernel: KernelSpec, n: int = 20001) -> float:

@@ -18,19 +18,18 @@ exact 1-norm condition number and the propagated standard errors.
 Solutions may be negative: inhibition is information, not a defect, and no
 positivity projection is applied.
 
-The inverse is formed by recursive 2x2 block (Schur-complement)
-elimination, which spends most of its flops in matrix products, with
-LAPACK's pivoted inverse on blocks of at most 256 rows.  Elimination does
-not pivot across blocks.  It is sound here because the time-reversal
-identity makes the system similar to a symmetric matrix: with
-s = sqrt(lam_j w_q) per row (j, q), diag(s) A diag(s)^-1 is symmetric, and
-block elimination of a symmetric positive definite matrix is stable.  That
-symmetric form can be indefinite (it is on a full order book), and then a
-leading block may be near singular while A is not.  So the block inverse
-is kept only when its solution's relative residual and that of
-A (A^-1 1) = 1 are both at most 1e-10; otherwise, or when a leaf block is
-exactly singular, A is inverted again with pivoting, as a plain LAPACK
-inverse would.
+The time-reversal identity makes the system similar to a symmetric matrix:
+with s = sqrt(lam_j w_q) per row (j, q), taking lam = 1 for an event-free
+component (its law is zero, so its rows and columns of A are the identity),
+M = diag(s) A diag(s)^-1 is symmetric.  M is overwritten with its inverse by
+recursive symmetric 2x2 block elimination, mostly matrix products, with
+LAPACK's pivoted inverse on blocks of at most 64 rows, and scaled back to
+A^-1; the solve peaks at about 2.3 (D Q)^2 doubles.  Nothing pivots across
+blocks, and M can be indefinite (it is on a full order book), so a leading
+block may be near singular while A is not.  The block inverse is kept only
+when its solution's relative residual and that of A (A^-1 1) = 1 are both
+at most 1e-10; otherwise, or when a leaf block is exactly singular, A is
+inverted again with pivoting, as a plain LAPACK inverse would.
 """
 
 from __future__ import annotations
@@ -58,9 +57,9 @@ __all__ = [
 ]
 
 CONDITION_LIMIT = 1e12
-# Blocks of at most this many rows are inverted by LAPACK directly; 256 was
-# the fastest leaf for 322 to 3864 unknowns on 2 OpenBLAS threads.
-_BLOCK_LEAF = 256
+# Blocks of at most this many rows go to LAPACK; on 2 OpenBLAS threads 64 was
+# the fastest leaf for 322 and 1932 unknowns and on par with 256 for 3864.
+_BLOCK_LEAF = 64
 _BLOCK_RESIDUAL_LIMIT = 1e-10
 
 
@@ -153,26 +152,28 @@ def _assemble_system(claw: ConditionalLawMatrix,
     return a.reshape(d * q, d * q), _at_nodes(claw, quad.nodes)
 
 
-def _block_inverse(a: np.ndarray, leaf: int = _BLOCK_LEAF) -> np.ndarray:
-    """Inverse of ``a`` by recursive 2x2 block (Schur-complement)
-    elimination, split at half the rows; blocks of at most ``leaf`` rows go
-    to LAPACK's pivoted inverse.  Nothing pivots across blocks, so a
-    singular leading block raises ``LinAlgError`` or spoils the result even
-    when ``a`` itself is well conditioned: callers check what it returns."""
-    n = len(a)
+def _block_inverse(m: np.ndarray, leaf: int = _BLOCK_LEAF) -> np.ndarray:
+    """Overwrite the symmetric ``m`` with its inverse and return it, by 2x2
+    block elimination split at half the rows, recursing down to ``leaf``
+    rows for LAPACK: with t = inv(A11) A12 and S = A22 - A12^T t, the inverse
+    is [[inv(A11) + t S^-1 t^T, -t S^-1], [., S^-1]].  Nothing pivots across
+    blocks, so a singular leading block raises ``LinAlgError`` or spoils the
+    result even when ``m`` is well conditioned: callers check what it returns."""
+    n = len(m)
     if n <= leaf:
-        return np.linalg.inv(a)
+        m[...] = np.linalg.inv(m)
+        return m
     h = n // 2
-    x11 = _block_inverse(a[:h, :h], leaf)
-    t = x11 @ a[:h, h:]
-    u = a[h:, :h] @ x11
-    si = _block_inverse(a[h:, h:] - a[h:, :h] @ t, leaf)
-    out = np.empty_like(a)
-    out[h:, h:] = si
-    out[h:, :h] = -(si @ u)
-    out[:h, h:] = -(t @ si)
-    out[:h, :h] = x11 - t @ out[h:, :h]
-    return out
+    x11, a12, a21, a22 = m[:h, :h], m[:h, h:], m[h:, :h], m[h:, h:]
+    _block_inverse(x11, leaf)
+    # t^T waits in block 21; no product's output overlaps its inputs in memory
+    t_tr = np.matmul(a12.T, x11, out=a21)
+    a22 -= t_tr @ a12
+    _block_inverse(a22, leaf)
+    np.negative(np.matmul(t_tr.T, a22, out=a12), out=a12)
+    x11 -= a12 @ t_tr
+    a21[...] = a12.T
+    return m
 
 
 def _relative_residual(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> float:
@@ -181,16 +182,18 @@ def _relative_residual(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a @ x - b) / bnorm) if bnorm > 0 else 0.0
 
 
-def _invert(a: np.ndarray, b: np.ndarray):
+def _invert(a: np.ndarray, b: np.ndarray, s: np.ndarray):
     """``(inv(a), inv(a) @ b, relative residual of that solution)``, or None
-    when LAPACK finds ``a`` exactly singular.
-
-    The block-elimination inverse is kept when the residual of its solution
-    and that of ``a (inv 1) = 1`` are both at most 1e-10.  Otherwise, or when
-    one of its leaf blocks is exactly singular, ``a`` is inverted again by
-    LAPACK's pivoted ``np.linalg.inv``."""
+    when ``a`` is exactly singular.  The block inverse of the symmetric
+    ``diag(s) a diag(s)^-1``, scaled back, is kept when it passes the
+    residual checks of the module docstring; otherwise, or when one of its
+    leaf blocks is exactly singular, ``a`` is inverted by ``np.linalg.inv``."""
+    inv = s[:, None] * a
+    inv /= s
     try:
-        inv = _block_inverse(a)
+        _block_inverse(inv)
+        inv *= s
+        inv /= s[:, None]
         sol = inv @ b
         ones = np.ones(len(a))
         residual = _relative_residual(a, sol, b)
@@ -200,6 +203,7 @@ def _invert(a: np.ndarray, b: np.ndarray):
             return inv, sol, residual
     except np.linalg.LinAlgError:
         pass
+    del inv
     try:
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError:
@@ -219,8 +223,7 @@ def solve_wiener_hopf(claw: ConditionalLawMatrix,
     system).  The system matrix is inverted whether or not standard errors
     are asked for: ``compute_stderr=False`` skips only their propagation.
     The inverse comes from block elimination, or from LAPACK's pivoted
-    inverse when the block result fails its residual checks (see the
-    module docstring).
+    inverse when that fails its residual checks (module docstring).
     """
     if quad is None:
         quad = build_quadrature()
@@ -230,14 +233,19 @@ def solve_wiener_hopf(claw: ConditionalLawMatrix,
             f"{claw.grid.h_max}")
     d = claw.dimension
     q = quad.n_nodes
+    lam = claw.lam
     a, b = _assemble_system(claw, quad)
-
-    inverted = _invert(a, b)
+    a_norm = np.linalg.norm(a, 1)
+    # the symmetrizing scale (module docstring)
+    s = np.sqrt(np.repeat(np.where(lam > 0, lam, 1.0), q)
+                * np.tile(quad.weights, d))
+    inverted = _invert(a, b, s)
     if inverted is None:
         condition = np.inf
     else:
         inv, sol, residual = inverted
-        condition = np.linalg.norm(a, 1) * np.linalg.norm(inv, 1)
+        # |inv| in place: its 1-norm here, squared below for the stderr
+        condition = a_norm * np.abs(inv, out=inv).sum(axis=0).max()
     # written so that a NaN condition fails the gate too
     if not condition <= CONDITION_LIMIT:
         raise SolverError(
@@ -251,19 +259,16 @@ def solve_wiener_hopf(claw: ConditionalLawMatrix,
     stderr = None
     if compute_stderr:
         var_b = _at_nodes(claw, quad.nodes, stderr=True) ** 2
-        var = (inv ** 2) @ var_b
+        var = np.square(inv, out=inv) @ var_b
         stderr = np.sqrt(np.maximum(var, 0.0)).T.reshape(d, d, q)
 
     norms = values @ quad.weights
-    lam = claw.lam
     baseline = recover_baseline(norms, lam)
     return KernelEstimate(
         quad=quad, values=values, stderr=stderr, lam=lam.copy(),
         norms=norms, rescaled=_divide_by_rate(norms * lam[None, :], lam),
-        baseline=baseline,
-        exogeneity_pct=_divide_by_rate(100.0 * baseline, lam),
-        residual=residual,
-        condition_estimate=float(condition),
+        baseline=baseline, exogeneity_pct=_divide_by_rate(100.0 * baseline, lam),
+        residual=residual, condition_estimate=float(condition),
         meta={"negative_baseline": bool(np.any(baseline < 0))},
     )
 
@@ -292,13 +297,8 @@ def verify_negativity_propagation(claw: ConditionalLawMatrix,
     """
     if quad is None:
         quad = build_quadrature()
-    d = claw.dimension
     in_reach = claw.grid.edges[:-1] < quad.x_max
-    neg = np.zeros((d, d), dtype=bool)
-    for i in range(d):
-        for j in range(d):
-            ok = claw.has_window[j] & in_reach
-            neg[i, j] = bool(np.any(claw.values[i, j][ok] < 0.0))
+    neg = np.any((claw.values < 0.0) & claw.has_window & in_reach, axis=-1)
     hypothesis = bool(np.all(neg.any(axis=0))) or bool(np.all(neg.any(axis=1)))
     if not hypothesis:
         return NegativityReport(False, False, float("nan"), None, None)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -209,6 +210,44 @@ PINNED_MODELS = {
 }
 
 
+# sha256 prefixes of the files save_model writes for PINNED_MODELS
+PINNED_FILES = {
+    "exponential": "baf27bceb5d7d25f",
+    "factorized": "4183c927d095d403",
+    "power_law": "dee699f9dcf401d1",
+    "sum_of_exponentials": "bfacf68193f349d4",
+    "tabulated": "ac731ff52a4fc7af",
+    "zero": "a333ddc8c540bcec",
+}
+
+# each PINNED_MODELS law built with integer parameters where it has them
+INT_BUILT = {
+    "exponential": (
+        lambda: HawkesModel.linear([1], [[ExponentialKernel(1, 5)]]),
+        lambda: HawkesModel.linear([1.0], [[ExponentialKernel(1.0, 5.0)]])),
+    "sum_of_exponentials": (
+        lambda: HawkesModel.linear(
+            [1], [[SumOfExponentialsKernel(((1, 5), (-1, 40)))]],
+            flavor="positive_part"),
+        lambda: HawkesModel.linear(
+            [1.0], [[SumOfExponentialsKernel(((1.0, 5.0), (-1.0, 40.0)))]],
+            flavor="positive_part")),
+    "power_law": (
+        lambda: HawkesModel.linear([1], [[PowerLawKernel(1, 2, 1)]]),
+        lambda: HawkesModel.linear([1.0], [[PowerLawKernel(1.0, 2.0, 1.0)]])),
+    "tabulated": (
+        lambda: HawkesModel.linear(
+            [1], [[TabulatedKernel((0, 1, 2), (1, 0, 0))]]),
+        lambda: HawkesModel.linear(
+            [1.0], [[TabulatedKernel((0.0, 1.0, 2.0), (1.0, 0.0, 0.0))]])),
+    "factorized": (
+        lambda: HawkesModel.factorized(2, ExponentialKernel(1, 8), [1, 2],
+                                       [0.5, 0.5]),
+        lambda: HawkesModel.factorized(2.0, ExponentialKernel(1.0, 8.0),
+                                       [1.0, 2.0], [0.5, 0.5])),
+}
+
+
 class TestPinnedSerialization:
     @pytest.mark.parametrize("name", sorted(PINNED_MODELS))
     def test_to_dict_and_content_hash(self, name):
@@ -217,6 +256,23 @@ class TestPinnedSerialization:
         assert model.to_dict() == spec
         assert model.content_hash() == digest
         assert HawkesModel.from_dict(spec).content_hash() == digest
+
+    @pytest.mark.parametrize("name", sorted(PINNED_FILES))
+    def test_model_file_bytes(self, name, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(PINNED_MODELS[name][0](), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == PINNED_FILES[name]
+
+    @pytest.mark.parametrize("name", sorted(INT_BUILT))
+    def test_integer_parameters_serialize_as_floats(self, name, tmp_path):
+        from_ints, from_floats = (build() for build in INT_BUILT[name])
+        assert from_ints.to_dict() == from_floats.to_dict()
+        assert json.dumps(from_ints.to_dict()) == json.dumps(from_floats.to_dict())
+        assert from_ints.content_hash() == from_floats.content_hash()
+        save_model(from_ints, tmp_path / "ints.json")
+        save_model(from_floats, tmp_path / "floats.json")
+        assert ((tmp_path / "ints.json").read_bytes()
+                == (tmp_path / "floats.json").read_bytes())
 
 
 class TestHawkesModel:

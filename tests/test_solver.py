@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -45,14 +48,21 @@ def zero_fn(t):
 
 
 def random_law(seed, lam, h_max=1.0):
-    """Law with random signed values and random standard errors."""
+    """Law with random signed values and random standard errors.  An
+    event-free component's rows and columns are zero, as
+    ``estimate_conditional_law`` leaves them."""
     rng = np.random.default_rng(seed)
     lam = np.asarray(lam, dtype=float)
     d = len(lam)
     grid = build_linlog_grid(h_min=1e-2, h_max=h_max, n_lin=10, n_log=60)
     b = grid.n_bins
+    values = rng.normal(0.0, 0.3, (d, d, b))
+    stderr = rng.uniform(0.0, 0.1, (d, d, b))
+    for table in (values, stderr):
+        table[lam == 0] = 0.0
+        table[:, lam == 0] = 0.0
     return ConditionalLawMatrix(
-        grid, rng.normal(0.0, 0.3, (d, d, b)), rng.uniform(0.0, 0.1, (d, d, b)),
+        grid, values, stderr,
         np.zeros((d, d, b), dtype=np.int64), np.ones((d, b), dtype=np.int64),
         lam, total_time=1.0)
 
@@ -75,6 +85,24 @@ def random_3d():
 @pytest.fixture(scope="module")
 def random_12d():
     return random_law(12, LAM_12D)
+
+
+@pytest.fixture(scope="module")
+def event_free_3d():
+    return random_law(3, [1.3, 0.0, 0.7])
+
+
+def spy_on_inverse(monkeypatch) -> list[int]:
+    """Record the size of every matrix ``np.linalg.inv`` inverts."""
+    sizes = []
+    inv = np.linalg.inv
+
+    def spy(a):
+        sizes.append(len(a))
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", spy)
+    return sizes
 
 
 @pytest.fixture(scope="module")
@@ -168,17 +196,37 @@ class TestSolve:
                                                        rel=1e-12)
 
     def test_book_sized_law_needs_no_fallback(self, random_12d, monkeypatch):
-        sizes = []
-        inv = np.linalg.inv
-
-        def spy(a):
-            sizes.append(len(a))
-            return inv(a)
-
-        monkeypatch.setattr(np.linalg, "inv", spy)
+        sizes = spy_on_inverse(monkeypatch)
         est = solve_wiener_hopf(random_12d, build_quadrature())
         assert len(est.values) * est.quad.n_nodes == 1932
         assert sizes and max(sizes) <= _BLOCK_LEAF
+
+    def test_book_sized_solve_peak_memory(self, random_12d):
+        # A, its inverse and a quarter-size product: about 2.3 n^2 doubles
+        quad = build_quadrature()
+        n = random_12d.dimension * quad.n_nodes
+        tracemalloc.start()
+        try:
+            solve_wiener_hopf(random_12d, quad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.75 * n * n * 8
+
+    def test_law_without_symmetric_form_falls_back(self, event_free_3d,
+                                                   monkeypatch):
+        # a nonzero law conditioned on the event-free component breaks the
+        # time-reversal symmetry that block elimination relies on
+        values = event_free_3d.values.copy()
+        values[:, 1] = 0.3
+        claw = dataclasses.replace(event_free_3d, values=values)
+        quad = build_quadrature()
+        sizes = spy_on_inverse(monkeypatch)
+        est = solve_wiener_hopf(claw, quad)
+        assert sizes[-1] == 3 * quad.n_nodes
+        ref = lu_reference_solve(claw, quad)
+        assert_rel_close(est.values, ref["values"])
+        assert_rel_close(est.stderr, ref["stderr"])
 
     def test_stderr_propagation_shapes_and_positivity(self, oracle_1d):
         est = solve_wiener_hopf(oracle_1d, build_quadrature())
@@ -226,21 +274,26 @@ class TestAssembly:
                                      for j in range(claw.dimension)])
             assert var_b[:, i].tobytes() == column.tobytes()
 
-    @pytest.mark.parametrize("lam,h_max", POSITIVE_RATE_LAWS)
+    @pytest.mark.parametrize("lam,h_max", POSITIVE_RATE_LAWS + [
+        pytest.param([1.3, 0.0, 0.7], 1.0, id="event-free"),
+    ])
     def test_rate_and_weight_scaling_symmetrizes_system(self, lam, h_max):
         # time reversal: lam_j w_q A[(j,q),(k,m)] = lam_k w_m A[(k,m),(j,q)],
-        # the structure that block elimination of A relies on
+        # the structure that block elimination of A relies on; an event-free
+        # component's rows and columns are the identity and take rate 1
         claw = random_law(len(lam), lam, h_max)
         quad = build_quadrature()
         a, _ = _assemble_system(claw, quad)
-        s = np.sqrt(np.repeat(claw.lam, quad.n_nodes)
+        rate = np.where(claw.lam > 0, claw.lam, 1.0)
+        s = np.sqrt(np.repeat(rate, quad.n_nodes)
                     * np.tile(quad.weights, claw.dimension))
         sym = s[:, None] * a / s[None, :]
         assert np.max(np.abs(sym - sym.T)) <= 1e-14 * np.max(np.abs(sym))
 
 
 class TestLUReference:
-    @pytest.mark.parametrize("law", ["oracle_1d", "random_3d", "random_12d"])
+    @pytest.mark.parametrize("law", ["oracle_1d", "random_3d", "random_12d",
+                                     "event_free_3d"])
     def test_matches_lu_path(self, law, request):
         claw = request.getfixturevalue(law)
         quad = build_quadrature()
@@ -256,11 +309,14 @@ class TestLUReference:
     @given(n=st.integers(1, 700), leaf=st.sampled_from([1, 7, 64]),
            seed=st.integers(0, 2**32 - 1))
     def test_block_inverse_matches_lapack(self, n, leaf, seed):
-        # I + E with ||E||_2 about 1/2: every leading block and Schur
-        # complement is well conditioned too
+        # I + (E + E^T)/2 with ||E||_2 about 1/2: symmetric, and every
+        # leading block and Schur complement is well conditioned too
         rng = np.random.default_rng(seed)
-        a = np.eye(n) + 0.25 * rng.standard_normal((n, n)) / np.sqrt(n)
-        assert_rel_close(_block_inverse(a, leaf), np.linalg.inv(a))
+        e = 0.25 * rng.standard_normal((n, n)) / np.sqrt(n)
+        a = np.eye(n) + (e + e.T) / 2
+        expected = np.linalg.inv(a)
+        assert _block_inverse(a, leaf) is a
+        assert_rel_close(a, expected)
 
 
 class TestComponentPermutation:
