@@ -22,14 +22,13 @@ The time-reversal identity makes the system similar to a symmetric matrix:
 with s = sqrt(lam_j w_q) per row (j, q), taking lam = 1 for an event-free
 component (its law is zero, so its rows and columns of A are the identity),
 M = diag(s) A diag(s)^-1 is symmetric.  M is overwritten with its inverse by
-recursive symmetric 2x2 block elimination, mostly matrix products, with
-LAPACK's pivoted inverse on blocks of at most 64 rows, and scaled back to
-A^-1; the solve peaks at about 2.3 (D Q)^2 doubles.  Nothing pivots across
-blocks, and M can be indefinite (it is on a full order book), so a leading
-block may be near singular while A is not.  The block inverse is kept only
-when its solution's relative residual and that of A (A^-1 1) = 1 are both
-at most 1e-10; otherwise, or when a leaf block is exactly singular, A is
-inverted again with pivoting, as a plain LAPACK inverse would.
+recursive symmetric 2x2 block elimination, mostly matrix products, and
+scaled back to A^-1; the solve peaks at about 2.3 (D Q)^2 doubles.  Nothing
+pivots across blocks, and M can be indefinite (it is on a full order book),
+so a leading block may be near singular while A is not.  The block inverse
+is kept only when its solution's relative residual and that of
+A (A^-1 1) = 1 are both at most 1e-10; otherwise, or when a leaf block is
+exactly singular, A is inverted again with LAPACK's pivoted inverse.
 """
 
 from __future__ import annotations
@@ -154,11 +153,10 @@ def _assemble_system(claw: ConditionalLawMatrix,
 
 def _block_inverse(m: np.ndarray, leaf: int = _BLOCK_LEAF) -> np.ndarray:
     """Overwrite the symmetric ``m`` with its inverse and return it, by 2x2
-    block elimination split at half the rows, recursing down to ``leaf``
-    rows for LAPACK: with t = inv(A11) A12 and S = A22 - A12^T t, the inverse
-    is [[inv(A11) + t S^-1 t^T, -t S^-1], [., S^-1]].  Nothing pivots across
-    blocks, so a singular leading block raises ``LinAlgError`` or spoils the
-    result even when ``m`` is well conditioned: callers check what it returns."""
+    block elimination split at half the rows, down to ``leaf`` rows for
+    LAPACK: with t = inv(A11) A12 and S = A22 - A12^T t, the inverse is
+    [[inv(A11) + t S^-1 t^T, -t S^-1], [., S^-1]].  A singular leading block
+    raises ``LinAlgError`` or spoils the result: callers check it."""
     n = len(m)
     if n <= leaf:
         m[...] = np.linalg.inv(m)
@@ -182,12 +180,18 @@ def _relative_residual(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a @ x - b) / bnorm) if bnorm > 0 else 0.0
 
 
-def _invert(a: np.ndarray, b: np.ndarray, s: np.ndarray):
+def _symmetrizing_scale(lam: np.ndarray, quad: QuadratureGrid) -> np.ndarray:
+    """The scale s of the module docstring, one entry per row (j, q)."""
+    return np.sqrt(np.repeat(np.where(lam > 0, lam, 1.0), quad.n_nodes)
+                   * np.tile(quad.weights, len(lam)))
+
+
+def _invert(a: np.ndarray, b: np.ndarray, lam: np.ndarray,
+            quad: QuadratureGrid):
     """``(inv(a), inv(a) @ b, relative residual of that solution)``, or None
-    when ``a`` is exactly singular.  The block inverse of the symmetric
-    ``diag(s) a diag(s)^-1``, scaled back, is kept when it passes the
-    residual checks of the module docstring; otherwise, or when one of its
-    leaf blocks is exactly singular, ``a`` is inverted by ``np.linalg.inv``."""
+    when ``a`` is exactly singular; block inverse or pivoted fallback as the
+    module docstring sets out."""
+    s = _symmetrizing_scale(lam, quad)
     inv = s[:, None] * a
     inv /= s
     try:
@@ -222,8 +226,6 @@ def solve_wiener_hopf(claw: ConditionalLawMatrix,
     condition number exceeds 1e12 (infinite for an exactly singular
     system).  The system matrix is inverted whether or not standard errors
     are asked for: ``compute_stderr=False`` skips only their propagation.
-    The inverse comes from block elimination, or from LAPACK's pivoted
-    inverse when that fails its residual checks (module docstring).
     """
     if quad is None:
         quad = build_quadrature()
@@ -233,13 +235,9 @@ def solve_wiener_hopf(claw: ConditionalLawMatrix,
             f"{claw.grid.h_max}")
     d = claw.dimension
     q = quad.n_nodes
-    lam = claw.lam
     a, b = _assemble_system(claw, quad)
     a_norm = np.linalg.norm(a, 1)
-    # the symmetrizing scale (module docstring)
-    s = np.sqrt(np.repeat(np.where(lam > 0, lam, 1.0), q)
-                * np.tile(quad.weights, d))
-    inverted = _invert(a, b, s)
+    inverted = _invert(a, b, claw.lam, quad)
     if inverted is None:
         condition = np.inf
     else:
@@ -263,12 +261,15 @@ def solve_wiener_hopf(claw: ConditionalLawMatrix,
         stderr = np.sqrt(np.maximum(var, 0.0)).T.reshape(d, d, q)
 
     norms = values @ quad.weights
+    lam = claw.lam
     baseline = recover_baseline(norms, lam)
     return KernelEstimate(
         quad=quad, values=values, stderr=stderr, lam=lam.copy(),
         norms=norms, rescaled=_divide_by_rate(norms * lam[None, :], lam),
-        baseline=baseline, exogeneity_pct=_divide_by_rate(100.0 * baseline, lam),
-        residual=residual, condition_estimate=float(condition),
+        baseline=baseline,
+        exogeneity_pct=_divide_by_rate(100.0 * baseline, lam),
+        residual=residual,
+        condition_estimate=float(condition),
         meta={"negative_baseline": bool(np.any(baseline < 0))},
     )
 
@@ -297,8 +298,13 @@ def verify_negativity_propagation(claw: ConditionalLawMatrix,
     """
     if quad is None:
         quad = build_quadrature()
+    d = claw.dimension
     in_reach = claw.grid.edges[:-1] < quad.x_max
-    neg = np.any((claw.values < 0.0) & claw.has_window & in_reach, axis=-1)
+    neg = np.zeros((d, d), dtype=bool)
+    for i in range(d):
+        for j in range(d):
+            ok = claw.has_window[j] & in_reach
+            neg[i, j] = bool(np.any(claw.values[i, j][ok] < 0.0))
     hypothesis = bool(np.all(neg.any(axis=0))) or bool(np.all(neg.any(axis=1)))
     if not hypothesis:
         return NegativityReport(False, False, float("nan"), None, None)

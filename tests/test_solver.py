@@ -27,6 +27,7 @@ from hawkesflow.whsolve.solver import (
     _assemble_system,
     _at_nodes,
     _block_inverse,
+    _symmetrizing_scale,
 )
 from oracles import (
     assemble_system,
@@ -48,23 +49,28 @@ def zero_fn(t):
 
 
 def random_law(seed, lam, h_max=1.0):
-    """Law with random signed values and random standard errors.  An
-    event-free component's rows and columns are zero, as
-    ``estimate_conditional_law`` leaves them."""
+    """Law with random signed values and random standard errors."""
     rng = np.random.default_rng(seed)
     lam = np.asarray(lam, dtype=float)
     d = len(lam)
     grid = build_linlog_grid(h_min=1e-2, h_max=h_max, n_lin=10, n_log=60)
     b = grid.n_bins
-    values = rng.normal(0.0, 0.3, (d, d, b))
-    stderr = rng.uniform(0.0, 0.1, (d, d, b))
-    for table in (values, stderr):
-        table[lam == 0] = 0.0
-        table[:, lam == 0] = 0.0
     return ConditionalLawMatrix(
-        grid, values, stderr,
+        grid, rng.normal(0.0, 0.3, (d, d, b)), rng.uniform(0.0, 0.1, (d, d, b)),
         np.zeros((d, d, b), dtype=np.int64), np.ones((d, b), dtype=np.int64),
         lam, total_time=1.0)
+
+
+def zero_event_free(claw):
+    """Copy of ``claw`` whose event-free components have zero law values and
+    standard errors in their rows and columns, as ``estimate_conditional_law``
+    leaves them."""
+    empty = claw.lam == 0
+    values, stderr = claw.values.copy(), claw.stderr.copy()
+    for table in (values, stderr):
+        table[empty] = 0.0
+        table[:, empty] = 0.0
+    return dataclasses.replace(claw, values=values, stderr=stderr)
 
 
 def assert_rel_close(actual, expected, rel=1e-12):
@@ -89,7 +95,7 @@ def random_12d():
 
 @pytest.fixture(scope="module")
 def event_free_3d():
-    return random_law(3, [1.3, 0.0, 0.7])
+    return zero_event_free(random_law(3, [1.3, 0.0, 0.7]))
 
 
 def spy_on_inverse(monkeypatch) -> list[int]:
@@ -281,12 +287,10 @@ class TestAssembly:
         # time reversal: lam_j w_q A[(j,q),(k,m)] = lam_k w_m A[(k,m),(j,q)],
         # the structure that block elimination of A relies on; an event-free
         # component's rows and columns are the identity and take rate 1
-        claw = random_law(len(lam), lam, h_max)
+        claw = zero_event_free(random_law(len(lam), lam, h_max))
         quad = build_quadrature()
         a, _ = _assemble_system(claw, quad)
-        rate = np.where(claw.lam > 0, claw.lam, 1.0)
-        s = np.sqrt(np.repeat(rate, quad.n_nodes)
-                    * np.tile(quad.weights, claw.dimension))
+        s = _symmetrizing_scale(claw.lam, quad)
         sym = s[:, None] * a / s[None, :]
         assert np.max(np.abs(sym - sym.T)) <= 1e-14 * np.max(np.abs(sym))
 
