@@ -18,17 +18,15 @@ from pathlib import Path
 
 import numpy as np
 
-from . import report as report_mod
-from .acceptance import run_acceptance
+# Only what parsing, RunConfig and ingest use is imported here; each command
+# imports the layers it runs, so no process loads another command's layers.
 from .errors import HawkesflowError, ParseError
-from .estimate import build_linlog_grid, estimate_conditional_law, save_claw
 from .events import (
     BinningScheme,
     EventTable,
     MultivariateEventStream,
     combine_streams,
     filter_session,
-    flow_statistics,
     load_binning_scheme,
     randomize_timestamps,
     read_event_csv,
@@ -36,9 +34,8 @@ from .events import (
 )
 from .events.stream import assign_components
 from .events.types import MICROSECOND
-from .grids import CLAW_GRID_DEFAULTS, QUADRATURE_DEFAULTS
-from .simulate import load_model, simulate
-from .whsolve import build_quadrature, save_kernel_estimate, solve_wiener_hopf
+from .grids import (CLAW_GRID_DEFAULTS, QUADRATURE_DEFAULTS, build_linlog_grid,
+                    build_quadrature)
 
 __all__ = ["main", "RunConfig"]
 
@@ -211,6 +208,9 @@ def _prepare_stream(args, config: RunConfig):
 
 
 def _estimate_pipeline(stream: MultivariateEventStream, config: RunConfig):
+    from .estimate import estimate_conditional_law
+    from .whsolve import solve_wiener_hopf
+
     grid = build_linlog_grid(h_min=config.h_min, h_max=config.h_max,
                              n_lin=config.n_lin, n_log=config.n_log)
     quad = build_quadrature(x_min=config.x_min, x_max=config.x_max,
@@ -222,6 +222,8 @@ def _estimate_pipeline(stream: MultivariateEventStream, config: RunConfig):
 
 
 def cmd_simulate(args, config: RunConfig) -> int:
+    from .simulate import load_model, simulate
+
     model = load_model(args.model)
     scheme = load_binning_scheme(args.scheme) if args.scheme \
         else BinningScheme.canonical(model.dimension)
@@ -248,6 +250,9 @@ def cmd_simulate(args, config: RunConfig) -> int:
 
 
 def cmd_estimate(args, config: RunConfig) -> int:
+    from .estimate import save_claw
+    from .whsolve import save_kernel_estimate
+
     scheme, stream, _ = _prepare_stream(args, config)
     claw, est = _estimate_pipeline(stream, config)
     out_dir = Path(args.out)
@@ -267,6 +272,9 @@ def cmd_estimate(args, config: RunConfig) -> int:
 
 
 def cmd_report(args, config: RunConfig) -> int:
+    from . import report as report_mod
+    from .events import flow_statistics
+
     scheme, stream, events = _prepare_stream(args, config)
     claw, est = _estimate_pipeline(stream, config)
     out_dir = Path(args.out)
@@ -294,6 +302,8 @@ def cmd_report(args, config: RunConfig) -> int:
 
 
 def cmd_roundtrip(args, config: RunConfig) -> int:
+    from .acceptance import run_acceptance
+
     results = run_acceptance(tolerance_scale=args.tolerance_scale,
                              criteria=args.criteria)
     failed = [r for r in results if not r.passed]
@@ -302,6 +312,8 @@ def cmd_roundtrip(args, config: RunConfig) -> int:
 
 
 def cmd_robustness(args, config: RunConfig) -> int:
+    from ._tables import write_matrix_csv
+
     scheme, stream, _ = _prepare_stream(args, config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -326,7 +338,7 @@ def cmd_robustness(args, config: RunConfig) -> int:
         with np.errstate(divide="ignore", invalid="ignore"):
             rel = (base.rescaled - est.rescaled) / base.rescaled
         path = out_dir / f"rescaled_norm_reldiff_{name}.csv"
-        report_mod.write_matrix_csv(path, rel, labels, labels)
+        write_matrix_csv(path, rel, labels, labels)
         finite = rel[np.isfinite(rel)]
         worst = float(np.max(np.abs(finite))) if finite.size else float("nan")
         lines.append(f"{name}: max |relative rescaled-norm difference| = {worst:.4g}")

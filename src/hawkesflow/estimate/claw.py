@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -83,8 +82,9 @@ class ConditionalLawMatrix:
         is the (k <- j) law (its standard error with ``stderr=True``).
 
         Negative lags use the time-reversal identity
-        g[k,j](-t) = (lam_k / lam_j) g[j,k](t); an event-free source has an
-        identically zero law, so its reflected part is zero rather than 0/0.
+        g[k,j](-t) = (lam_k / lam_j) g[j,k](t).  An event-free source has an
+        identically zero law and reads zero at every lag, whatever its table
+        holds.
         At exactly zero, ``zero="average"`` blends the two one-sided first
         bins (suited to a quadrature point sitting on the jump) while
         ``zero="right"`` returns the right limit.  Lags past ``h_max`` read
@@ -104,14 +104,15 @@ class ConditionalLawMatrix:
         idx[lags == 0] = 2 * n + 1
         cols = np.zeros((d, 2 * n + 2))
         for j in range(d):
-            cols[:, :n] = table[:, j]
-            cols[:, n:2 * n] = 0.0
-            cols[:, 2 * n + 1] = table[:, j, 0]
             if self.lam[j] > 0:
                 ratio = self.lam / self.lam[j]
+                cols[:, :n] = table[:, j]
                 cols[:, n:2 * n] = ratio[:, None] * table[j]
+                cols[:, 2 * n + 1] = table[:, j, 0]
                 if zero == "average":
                     cols[:, 2 * n + 1] = 0.5 * (table[:, j, 0] + ratio * table[j, :, 0])
+            else:
+                cols[:] = 0.0
             yield cols[:, idx]
 
     @classmethod
@@ -279,6 +280,7 @@ def estimate_conditional_law(stream: MultivariateEventStream,
         return _session_pair_counts(sess.times, sess.duration, grid.edges)
 
     if workers and workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
             per_session = list(pool.map(run, stream.sessions))
     else:

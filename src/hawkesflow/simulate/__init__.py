@@ -1,27 +1,12 @@
 """Ground-truth Hawkes stream generation for estimator validation."""
 
-from .kernels import (
-    ExponentialKernel,
-    KernelSpec,
-    PowerLawKernel,
-    SumOfExponentialsKernel,
-    TabulatedKernel,
-    ZeroKernel,
-    kernel_from_dict,
-)
-from .model import (
-    HawkesModel,
-    ModelFlavor,
-    load_model,
-    mean_intensity,
-    save_model,
-    spectral_radius,
-)
-from .thinning import simulate
+from .. import _lazy_exports
 
-__all__ = [
-    "ExponentialKernel", "KernelSpec", "PowerLawKernel",
-    "SumOfExponentialsKernel", "TabulatedKernel", "ZeroKernel",
-    "kernel_from_dict", "HawkesModel", "ModelFlavor", "load_model",
-    "mean_intensity", "save_model", "spectral_radius", "simulate",
-]
+__all__, __getattr__ = _lazy_exports(__name__, {
+    ".kernels": ("ExponentialKernel", "KernelSpec", "PowerLawKernel",
+                 "SumOfExponentialsKernel", "TabulatedKernel", "ZeroKernel",
+                 "kernel_from_dict"),
+    ".model": ("HawkesModel", "ModelFlavor", "load_model", "mean_intensity",
+               "save_model", "spectral_radius"),
+    ".thinning": ("simulate",),
+})

@@ -1,20 +1,10 @@
 """Wiener-Hopf kernel solver and derived norm/baseline quantities."""
 
-from ..grids import QuadratureGrid, build_quadrature
-from .solver import (
-    KernelEstimate,
-    NegativityReport,
-    exogeneity_ratios,
-    recover_baseline,
-    rescaled_norms,
-    save_kernel_estimate,
-    solve_wiener_hopf,
-    verify_negativity_propagation,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "QuadratureGrid", "build_quadrature", "KernelEstimate",
-    "NegativityReport", "exogeneity_ratios", "recover_baseline",
-    "rescaled_norms", "save_kernel_estimate", "solve_wiener_hopf",
-    "verify_negativity_propagation",
-]
+__all__, __getattr__ = _lazy_exports(__name__, {
+    "..grids": ("QuadratureGrid", "build_quadrature"),
+    ".solver": ("KernelEstimate", "NegativityReport", "exogeneity_ratios",
+                "recover_baseline", "rescaled_norms", "save_kernel_estimate",
+                "solve_wiener_hopf", "verify_negativity_propagation"),
+})

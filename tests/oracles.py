@@ -238,22 +238,25 @@ def value_at_lag(claw, i: int, j: int, lags, zero: str = "average") -> np.ndarra
     Negative lags use the time-reversal identity.  At exactly zero,
     ``zero="average"`` blends the two one-sided first bins (suited to a
     quadrature point sitting on the jump) while ``zero="right"`` returns
-    the right limit.  The former ``ConditionalLawMatrix.value_at_lag``.
+    the right limit.  The former ``ConditionalLawMatrix.value_at_lag``,
+    except that an event-free source now reads zero at every lag.
     """
     lags = np.asarray(lags, dtype=float)
     out = np.zeros(lags.shape)
+    # an event-free conditioning component has an identically zero law,
+    # whatever the table holds
+    if claw.lam[j] == 0:
+        return out
     pos = lags > 0
     neg = lags < 0
     zer = ~pos & ~neg
     out[pos] = _bin_values(claw, i, j, lags[pos], claw.values)
-    # an event-free conditioning component has an identically zero law,
-    # so its reflected contribution is zero rather than 0/0
-    if neg.any() and claw.lam[j] > 0:
+    if neg.any():
         ratio = claw.lam[i] / claw.lam[j]
         out[neg] = ratio * _bin_values(claw, j, i, -lags[neg], claw.values)
     if zer.any():
         right = claw.values[i, j, 0]
-        if zero == "right" or claw.lam[j] == 0:
+        if zero == "right":
             out[zer] = right
         else:
             left = claw.lam[i] / claw.lam[j] * claw.values[j, i, 0]
@@ -266,11 +269,13 @@ def stderr_at_lag(claw, i: int, j: int, lags) -> np.ndarray:
     former ``ConditionalLawMatrix.stderr_at_lag``."""
     lags = np.asarray(lags, dtype=float)
     out = np.zeros(lags.shape)
+    if claw.lam[j] == 0:
+        return out
     pos = lags > 0
     neg = lags < 0
     zer = ~pos & ~neg
     out[pos] = _bin_values(claw, i, j, lags[pos], claw.stderr)
-    if neg.any() and claw.lam[j] > 0:
+    if neg.any():
         ratio = claw.lam[i] / claw.lam[j]
         out[neg] = ratio * _bin_values(claw, j, i, -lags[neg], claw.stderr)
     if zer.any():
@@ -303,13 +308,14 @@ def assemble_system(claw, quad) -> tuple[np.ndarray, np.ndarray]:
 
 def gathered_variance(claw, quad) -> np.ndarray:
     """The solver's former gather of the squared law standard errors at the
-    nodes, var_b[(j, q), i]: bin 0 (the right limit) at node 0 and a padded
-    zero bin past the law's range."""
+    nodes, var_b[(j, q), i]: bin 0 (the right limit) at node 0, a padded
+    zero bin past the law's range and zero for an event-free source j."""
     d = claw.dimension
     q = quad.n_nodes
     padded = np.concatenate([claw.stderr, np.zeros((d, d, 1))], axis=-1)
     bins = np.where(quad.nodes == 0, 0, claw.grid.bin_index(quad.nodes))
     errs = padded[:, :, bins]
+    errs[:, claw.lam == 0] = 0.0
     return (errs ** 2).transpose(1, 2, 0).reshape(d * q, d)
 
 

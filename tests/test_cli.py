@@ -389,16 +389,58 @@ class TestDimensionGuard:
                             str(tmp_path / "y")]) == 0
 
 
+def modules_after(code: str) -> list[str]:
+    """The modules a fresh interpreter has loaded after running ``code``."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code += "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=120)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def loaded(modules: list[str], packages: list[str]) -> list[str]:
+    """The ``modules`` that are one of ``packages`` or inside one."""
+    return [m for m in modules
+            if any(m == p or m.startswith(p + ".") for p in packages)]
+
+
+def layers(*names: str) -> list[str]:
+    return [f"hawkesflow.{name}" for name in names]
+
+
 class TestColdStart:
     def test_cli_import_loads_no_scipy(self):
         # scipy is a test dependency only; an eager import anywhere in the
         # package would put its ~0.4 s import back on every CLI start
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ, PYTHONPATH=str(src))
-        code = ("import hawkesflow.cli, sys; "
-                "print(sorted(m for m in sys.modules "
-                "if m == 'scipy' or m.startswith('scipy.')))")
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True,
-                             timeout=120)
-        assert out.stdout.strip() == "[]"
+        assert loaded(modules_after("import hawkesflow.cli"), ["scipy"]) == []
+
+    # Each CLI process compiles what it imports, so parsing loads no
+    # command's layers and each command loads only its own.
+    def test_parser_loads_no_command_layers(self):
+        modules = modules_after("import hawkesflow.cli as c; c.build_parser()")
+        assert loaded(modules, layers("simulate", "estimate", "whsolve",
+                                      "report", "acceptance",
+                                      "events.reconstruct", "events.stats")
+                      + ["concurrent.futures"]) == []
+        assert "numpy" in modules
+
+    def test_simulate_loads_no_estimation_layers(self, tmp_path, model_file):
+        argv = ["simulate", "--model", str(model_file), "--horizon", "50",
+                "--out", str(tmp_path / "sim")]
+        modules = modules_after(
+            f"from hawkesflow.cli import main; assert main({argv!r}) == 0")
+        assert "hawkesflow.simulate.thinning" in modules
+        assert loaded(modules, layers("estimate", "whsolve", "report",
+                                      "acceptance")) == []
+
+    def test_estimate_loads_no_simulation_or_report(self, tmp_path, model_file):
+        sim = run_simulate(tmp_path, model_file, horizon=200.0)
+        argv = ["estimate", "--input", str(sim / "events.csv"),
+                "--dimension", "1", "--out", str(tmp_path / "est")]
+        modules = modules_after(
+            f"from hawkesflow.cli import main; assert main({argv!r}) == 0")
+        assert "hawkesflow.whsolve.solver" in modules
+        assert loaded(modules, layers("simulate", "report", "acceptance")
+                      + ["concurrent.futures"]) == []

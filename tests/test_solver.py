@@ -221,10 +221,12 @@ class TestSolve:
 
     def test_law_without_symmetric_form_falls_back(self, event_free_3d,
                                                    monkeypatch):
-        # a nonzero law conditioned on the event-free component breaks the
-        # time-reversal symmetry that block elimination relies on
+        # the law conditioned on the event-free component reads zero whatever
+        # the table holds, but a nonzero law of that component, conditioned
+        # on the others, still breaks the time-reversal symmetry that block
+        # elimination relies on
         values = event_free_3d.values.copy()
-        values[:, 1] = 0.3
+        values[1] = 0.3
         claw = dataclasses.replace(event_free_3d, values=values)
         quad = build_quadrature()
         sizes = spy_on_inverse(monkeypatch)
@@ -233,6 +235,22 @@ class TestSolve:
         ref = lu_reference_solve(claw, quad)
         assert_rel_close(est.values, ref["values"])
         assert_rel_close(est.stderr, ref["stderr"])
+
+    def test_law_conditioned_on_event_free_component_needs_no_fallback(
+            self, event_free_3d, monkeypatch):
+        # table values and standard errors where the source has no events
+        # are not read, so the system keeps its symmetric form
+        values, stderr = event_free_3d.values.copy(), event_free_3d.stderr.copy()
+        values[:, 1] = 0.3
+        stderr[:, 1] = 0.05
+        claw = dataclasses.replace(event_free_3d, values=values, stderr=stderr)
+        quad = build_quadrature()
+        sizes = spy_on_inverse(monkeypatch)
+        est = solve_wiener_hopf(claw, quad)
+        assert sizes and max(sizes) <= _BLOCK_LEAF
+        ref = solve_wiener_hopf(event_free_3d, quad)
+        assert np.array_equal(est.values, ref.values)
+        assert np.array_equal(est.stderr, ref.stderr)
 
     def test_stderr_propagation_shapes_and_positivity(self, oracle_1d):
         est = solve_wiener_hopf(oracle_1d, build_quadrature())
