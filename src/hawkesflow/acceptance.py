@@ -8,6 +8,7 @@ scaled); values below 1 tighten the suite.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -72,6 +73,38 @@ class _Check:
         self.ok &= ok
 
 
+def _fit(model: HawkesModel, horizon: float, seed: int, h_max: float = 5.0):
+    """Simulate ``model`` over ``horizon`` seconds, estimate its laws on the
+    suite's grid and solve them: ``(stream, grid, claw, estimate)``."""
+    stream = simulate(model, horizon, seed=seed)
+    grid = build_linlog_grid(h_min=1e-3, h_max=h_max, n_lin=50, n_log=300)
+    claw = estimate_conditional_law(stream, grid)
+    return stream, grid, claw, solve_wiener_hopf(claw, build_quadrature())
+
+
+_CRITERIA: dict[int, str] = {}  # criterion number -> suite method name
+
+
+def _criterion(number: int, name: str, cap: float | None):
+    """Declare criterion ``number``.  The decorated method takes a ``_Check``
+    and the tolerance scale and fills the check; the harness times it,
+    appends the runtime check when ``cap`` (seconds) is given and returns
+    the ``CriterionResult``."""
+    def declare(body):
+        @functools.wraps(body)
+        def criterion(self) -> CriterionResult:
+            t0 = time.perf_counter()
+            c = _Check()
+            body(self, c, self.scale)
+            runtime = time.perf_counter() - t0
+            if cap is not None:
+                c.expect("runtime seconds", runtime, None, cap)
+            return CriterionResult(number, name, c.ok, c.lines, runtime)
+        _CRITERIA[number] = body.__name__
+        return criterion
+    return declare
+
+
 class AcceptanceSuite:
     """Runs the criteria in order, sharing datasets and collecting every
     solve so the exactness and identity criteria cover all of them."""
@@ -81,38 +114,22 @@ class AcceptanceSuite:
             raise ValueError("tolerance scale must be positive")
         self.scale = tolerance_scale
         self.solves = []  # (label, KernelEstimate)
-        self._exp1d = None  # cached criterion-2 dataset
 
-    # -- shared pieces ----------------------------------------------------
-
+    @functools.cached_property
     def _exp1d_dataset(self):
-        if self._exp1d is None:
-            model = HawkesModel.linear([1.0], [[ExponentialKernel(0.5, 10.0)]])
-            stream = simulate(model, 2e5, seed=SEED_EXP_1D)
-            grid = build_linlog_grid(h_min=1e-3, h_max=5.0, n_lin=50, n_log=300)
-            claw = estimate_conditional_law(stream, grid)
-            est = solve_wiener_hopf(claw, build_quadrature())
-            self._exp1d = (model, stream, grid, claw, est)
-        return self._exp1d
+        """The 1D exponential dataset criteria 2 and 7 share:
+        ``(model, stream, grid, claw, estimate)``."""
+        model = HawkesModel.linear([1.0], [[ExponentialKernel(0.5, 10.0)]])
+        return (model, *_fit(model, 2e5, SEED_EXP_1D))
 
-    def _record(self, label: str, est) -> None:
-        self.solves.append((label, est))
-
-    # -- criteria ----------------------------------------------------------
-
-    def criterion_1(self) -> CriterionResult:
+    @_criterion(1, "Poisson null", cap=60.0)
+    def criterion_1(self, c: _Check, s: float) -> None:
         """Poisson null: flat laws, near-zero norms, baseline = rate."""
-        t0 = time.perf_counter()
-        s = self.scale
-        c = _Check()
         model = HawkesModel.linear(
             [1.0, 2.0], [[ZeroKernel(), ZeroKernel()],
                          [ZeroKernel(), ZeroKernel()]])
-        stream = simulate(model, 1e5, seed=SEED_POISSON)
-        grid = build_linlog_grid(h_min=1e-3, h_max=10.0, n_lin=50, n_log=300)
-        claw = estimate_conditional_law(stream, grid)
-        est = solve_wiener_hopf(claw, build_quadrature())
-        self._record("poisson_null", est)
+        _, _, claw, est = _fit(model, 1e5, SEED_POISSON, h_max=10.0)
+        self.solves.append(("poisson_null", est))
 
         within = 0
         total = 0
@@ -129,17 +146,12 @@ class AcceptanceSuite:
                  None, 0.02 * s)
         rel = float(np.max(np.abs(est.baseline - est.lam) / est.lam))
         c.expect("max relative |baseline - rate|", rel, None, 0.02 * s)
-        runtime = time.perf_counter() - t0
-        c.expect("runtime seconds", runtime, None, 60.0)
-        return CriterionResult(1, "Poisson null", c.ok, c.lines, runtime)
 
-    def criterion_2(self) -> CriterionResult:
+    @_criterion(2, "1D exponential round trip", cap=300.0)
+    def criterion_2(self, c: _Check, s: float) -> None:
         """1D exponential round trip at the stationarity relation's rate."""
-        t0 = time.perf_counter()
-        s = self.scale
-        c = _Check()
-        model, stream, grid, claw, est = self._exp1d_dataset()
-        self._record("exp_1d", est)
+        model, stream, _, _, est = self._exp1d_dataset
+        self.solves.append(("exp_1d", est))
         lam_true = float(mean_intensity(model)[0])
         rate = float(stream.total_counts[0] / stream.total_time)
         c.expect("empirical rate", rate,
@@ -150,49 +162,31 @@ class AcceptanceSuite:
                  1.0 - 0.1 * s, 1.0 + 0.1 * s)
         c.expect("exogeneity pct", float(est.exogeneity_pct[0]),
                  50.0 * (1 - 0.1 * s), 50.0 * (1 + 0.1 * s))
-        runtime = time.perf_counter() - t0
-        c.expect("runtime seconds", runtime, None, 300.0)
-        return CriterionResult(2, "1D exponential round trip", c.ok, c.lines,
-                               runtime)
 
-    def criterion_3(self) -> CriterionResult:
+    @_criterion(3, "2D directed round trip", cap=300.0)
+    def criterion_3(self, c: _Check, s: float) -> None:
         """Directed 2D model: only the 1 -> 2 kernel is recovered."""
-        t0 = time.perf_counter()
-        s = self.scale
-        c = _Check()
         model = HawkesModel.linear(
             [1.0, 1.0],
             [[ZeroKernel(), ZeroKernel()],
              [ExponentialKernel(0.4, 10.0), ZeroKernel()]])
-        stream = simulate(model, 1e5, seed=SEED_DIRECTED)
-        grid = build_linlog_grid(h_min=1e-3, h_max=5.0, n_lin=50, n_log=300)
-        claw = estimate_conditional_law(stream, grid)
-        est = solve_wiener_hopf(claw, build_quadrature())
-        self._record("directed_2d", est)
+        est = _fit(model, 1e5, SEED_DIRECTED)[-1]
+        self.solves.append(("directed_2d", est))
         c.expect("|n_11|", abs(float(est.norms[0, 0])), None, 0.05 * s)
         c.expect("|n_12|", abs(float(est.norms[0, 1])), None, 0.05 * s)
         c.expect("|n_22|", abs(float(est.norms[1, 1])), None, 0.05 * s)
         c.expect("n_21", float(est.norms[1, 0]),
                  0.4 - 0.06 * s, 0.4 + 0.06 * s)
-        runtime = time.perf_counter() - t0
-        c.expect("runtime seconds", runtime, None, 300.0)
-        return CriterionResult(3, "2D directed round trip", c.ok, c.lines,
-                               runtime)
 
-    def criterion_4(self) -> CriterionResult:
+    @_criterion(4, "factorized collapse", cap=300.0)
+    def criterion_4(self, c: _Check, s: float) -> None:
         """Factorized-model collapse: kernel shape must not depend on the
         source bin beyond the mark factor, so the column ratio is flat."""
-        t0 = time.perf_counter()
-        s = self.scale
-        c = _Check()
         model = HawkesModel.factorized(
             baseline_total=1.0, base_kernel=ExponentialKernel(0.4, 10.0),
             mark_values=[1.0, 2.0], mark_probs=[0.5, 0.5])
-        stream = simulate(model, 1.5e5, seed=SEED_FACTORIZED)
-        grid = build_linlog_grid(h_min=1e-3, h_max=5.0, n_lin=50, n_log=300)
-        claw = estimate_conditional_law(stream, grid)
-        est = solve_wiener_hopf(claw, build_quadrature())
-        self._record("factorized", est)
+        est = _fit(model, 1.5e5, SEED_FACTORIZED)[-1]
+        self.solves.append(("factorized", est))
 
         # The column ratio is compared only where both kernels are actually
         # measurable: a node qualifies when both entries exceed 3 sigma, and
@@ -234,14 +228,10 @@ class AcceptanceSuite:
                         for i, m in group_masks)
             c.expect("max group-ratio deviation from global", worst,
                      None, 0.25 * s)
-        runtime = time.perf_counter() - t0
-        c.expect("runtime seconds", runtime, None, 300.0)
-        return CriterionResult(4, "factorized collapse", c.ok, c.lines, runtime)
 
-    def criterion_5(self) -> CriterionResult:
+    @_criterion(5, "inhibition propagation suite", cap=300.0)
+    def criterion_5(self, c: _Check, s: float) -> None:
         """Inhibition propagation on 20 randomized positive-part models."""
-        t0 = time.perf_counter()
-        c = _Check()
         rng = np.random.Generator(np.random.Philox(SEED_INHIBITION))
         grid = build_linlog_grid(h_min=1e-3, h_max=5.0, n_lin=50, n_log=250)
         quad = build_quadrature()
@@ -265,21 +255,15 @@ class AcceptanceSuite:
             hypotheses += int(report.hypothesis_holds)
             found += int(report.negative_found)
             if report.estimate is not None:
-                self._record(f"inhibition_{run}", report.estimate)
+                self.solves.append((f"inhibition_{run}", report.estimate))
         c.expect("runs where the negativity hypothesis held",
                  float(hypotheses), 20.0, None)
         c.expect("runs with a negative solved kernel value", float(found),
                  20.0, None)
-        runtime = time.perf_counter() - t0
-        c.expect("runtime seconds", runtime, None, 300.0)
-        return CriterionResult(5, "inhibition propagation suite", c.ok,
-                               c.lines, runtime)
 
-    def criterion_6(self) -> CriterionResult:
+    @_criterion(6, "solver exactness", cap=None)
+    def criterion_6(self, c: _Check, s: float) -> None:
         """Solver exactness: discretized-system residual on every solve."""
-        t0 = time.perf_counter()
-        s = self.scale
-        c = _Check()
         if self.solves:
             worst = max(est.residual for _, est in self.solves)
             c.expect("max relative residual over %d solves" % len(self.solves),
@@ -287,33 +271,23 @@ class AcceptanceSuite:
         else:
             c.lines.append("  ok  vacuous: no solves collected (run criteria "
                            "1-5 first)")
-        runtime = time.perf_counter() - t0
-        return CriterionResult(6, "solver exactness", c.ok, c.lines, runtime)
 
-    def criterion_7(self) -> CriterionResult:
+    @_criterion(7, "randomization robustness", cap=300.0)
+    def criterion_7(self, c: _Check, s: float) -> None:
         """Timestamp randomization barely moves the rescaled norms."""
-        t0 = time.perf_counter()
-        s = self.scale
-        c = _Check()
-        model, stream, grid, claw, est = self._exp1d_dataset()
+        _, stream, grid, _, est = self._exp1d_dataset
         rand = randomize_timestamps(stream, round_to_us=10.0,
                                     jitter_width_us=50.0, seed=SEED_RANDOMIZE)
         claw_r = estimate_conditional_law(rand, grid)
         est_r = solve_wiener_hopf(claw_r, est.quad)
-        self._record("exp_1d_randomized", est_r)
+        self.solves.append(("exp_1d_randomized", est_r))
         rel = float(np.max(np.abs(est_r.rescaled - est.rescaled)
                            / np.abs(est.rescaled)))
         c.expect("max relative rescaled-norm change", rel, None, 0.05 * s)
-        runtime = time.perf_counter() - t0
-        c.expect("runtime seconds", runtime, None, 300.0)
-        return CriterionResult(7, "randomization robustness", c.ok, c.lines,
-                               runtime)
 
-    def criterion_8(self) -> CriterionResult:
+    @_criterion(8, "algebraic identities", cap=None)
+    def criterion_8(self, c: _Check, s: float) -> None:
         """Exact algebraic identities on every estimate produced."""
-        t0 = time.perf_counter()
-        s = self.scale
-        c = _Check()
         if self.solves:
             worst = 0.0
             for label, est in self.solves:
@@ -330,20 +304,13 @@ class AcceptanceSuite:
         wsum_err = abs(float(quad.weights.sum()) - quad.x_max) / quad.x_max
         c.expect("quadrature weight-sum relative error", wsum_err,
                  None, 1e-12 * s)
-        runtime = time.perf_counter() - t0
-        return CriterionResult(8, "algebraic identities", c.ok, c.lines,
-                               runtime)
 
     def run(self, criteria: list[int] | None = None) -> list[CriterionResult]:
-        methods = {1: self.criterion_1, 2: self.criterion_2,
-                   3: self.criterion_3, 4: self.criterion_4,
-                   5: self.criterion_5, 6: self.criterion_6,
-                   7: self.criterion_7, 8: self.criterion_8}
-        numbers = sorted(criteria) if criteria else sorted(methods)
-        unknown = [n for n in numbers if n not in methods]
+        numbers = sorted(criteria) if criteria else sorted(_CRITERIA)
+        unknown = [n for n in numbers if n not in _CRITERIA]
         if unknown:
             raise ValueError(f"unknown criteria: {unknown}")
-        return [methods[n]() for n in numbers]
+        return [getattr(self, _CRITERIA[n])() for n in numbers]
 
 
 def run_acceptance(tolerance_scale: float = 1.0,

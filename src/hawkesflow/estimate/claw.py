@@ -47,6 +47,9 @@ def estimate_mean_intensity(stream: MultivariateEventStream) -> np.ndarray:
     return stream.total_counts / total
 
 
+_SAMPLES_PER_BIN = 9  # trapezoid points per bin of a synthetic law
+
+
 @dataclass(frozen=True)
 class ConditionalLawMatrix:
     """Estimated conditional laws on a lin-log grid.
@@ -82,9 +85,9 @@ class ConditionalLawMatrix:
         is the (k <- j) law (its standard error with ``stderr=True``).
 
         Negative lags use the time-reversal identity
-        g[k,j](-t) = (lam_k / lam_j) g[j,k](t).  An event-free source has an
-        identically zero law and reads zero at every lag, whatever its table
-        holds.
+        g[k,j](-t) = (lam_k / lam_j) g[j,k](t).  A law whose source or target
+        is event-free is identically zero and reads zero at every lag,
+        whatever its table holds.
         At exactly zero, ``zero="average"`` blends the two one-sided first
         bins (suited to a quadrature point sitting on the jump) while
         ``zero="right"`` returns the right limit.  Lags past ``h_max`` read
@@ -103,21 +106,22 @@ class ConditionalLawMatrix:
         idx = np.where(bins < 0, 2 * n, bins + n * (lags < 0))
         idx[lags == 0] = 2 * n + 1
         cols = np.zeros((d, 2 * n + 2))
+        event_free = self.lam <= 0
         for j in range(d):
-            if self.lam[j] > 0:
+            if event_free[j]:
+                cols[:] = 0.0
+            else:
                 ratio = self.lam / self.lam[j]
                 cols[:, :n] = table[:, j]
                 cols[:, n:2 * n] = ratio[:, None] * table[j]
                 cols[:, 2 * n + 1] = table[:, j, 0]
                 if zero == "average":
                     cols[:, 2 * n + 1] = 0.5 * (table[:, j, 0] + ratio * table[j, :, 0])
-            else:
-                cols[:] = 0.0
+                cols[event_free] = 0.0
             yield cols[:, idx]
 
     @classmethod
-    def from_function(cls, grid: LinLogGrid, func, lam,
-                      samples_per_bin: int = 9) -> "ConditionalLawMatrix":
+    def from_function(cls, grid: LinLogGrid, func, lam) -> "ConditionalLawMatrix":
         """Synthetic law from callables ``func[i][j](t)``; bin values are the
         bin averages of the function.  Useful for solver tests and for
         negativity-propagation checks on hand-built laws."""
@@ -130,7 +134,7 @@ class ConditionalLawMatrix:
                 g = func[i][j]
                 for k in range(b):
                     ts = np.linspace(grid.edges[k], grid.edges[k + 1],
-                                     samples_per_bin)
+                                     _SAMPLES_PER_BIN)
                     vals = np.asarray(g(ts), dtype=float)
                     values[i, j, k] = np.trapezoid(vals, ts) / (
                         grid.edges[k + 1] - grid.edges[k])

@@ -49,10 +49,11 @@ def _autocorr(series: np.ndarray, splits: list[int], max_lag: int) -> np.ndarray
 
 def flow_statistics(stream: MultivariateEventStream,
                     events_by_session: list[EventTable] | None = None,
-                    duration_grid: LinLogGrid | None = None,
                     max_lag: int = 50) -> FlowStatistics:
     """Compute the stream's descriptive statistics.
 
+    Duration histograms use a lin-log grid from 1 ms to the longest
+    duration (at least 1 s), 50 linear and 300 log bins.
     Volume histogram and trade-time autocorrelations need the original
     order events and are filled only when ``events_by_session`` is given
     (one event table per session, trades are extracted from it).
@@ -73,12 +74,10 @@ def flow_statistics(stream: MultivariateEventStream,
     per_comp = [np.concatenate(d) if d else np.empty(0) for d in per_comp]
     pooled = np.concatenate(pooled) if pooled else np.empty(0)
 
-    if duration_grid is None:
-        longest = max((float(d.max()) for d in per_comp + [pooled] if len(d)),
-                      default=1.0)
-        duration_grid = build_linlog_grid(
-            h_min=1e-3, h_max=max(1.0, longest * (1 + 1e-9)),
-            n_lin=50, n_log=300)
+    longest = max((float(d.max()) for d in per_comp + [pooled] if len(d)),
+                  default=1.0)
+    duration_grid = build_linlog_grid(
+        h_min=1e-3, h_max=max(1.0, longest * (1 + 1e-9)), n_lin=50, n_log=300)
 
     duration_counts = np.stack([
         _duration_histogram(d, duration_grid) for d in per_comp

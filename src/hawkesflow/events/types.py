@@ -83,11 +83,19 @@ class BinningMode(str, Enum):
     FULL_BOOK = "full_book"
 
 
-# Component block layouts.  Signed trades: sell block (bid-side trades)
-# first, then buy block.  Full book: ask block then bid block, each ordered
-# limit bins, cancel bins, trade bins.
 _FULL_BOOK_TYPE_ORDER = (EventType.LIMIT, EventType.CANCEL, EventType.TRADE)
 _SIDE_ORDER = (Side.ASK, Side.BID)
+# Component blocks of each mode in component order, one component per volume
+# bin: (event type, side or None for either, label prefix, report quadrant).
+# A trade on the bid side is a sell, on the ask side a buy; sells come first.
+_LAYOUTS = {
+    BinningMode.UNSIGNED_TRADES: ((EventType.TRADE, None, "B", None),),
+    BinningMode.SIGNED_TRADES: ((EventType.TRADE, Side.BID, "S", "sell"),
+                                (EventType.TRADE, Side.ASK, "B", "buy")),
+    BinningMode.FULL_BOOK: tuple(
+        (etype, side, f"{etype.value}{side.value}", side.name.lower())
+        for side in _SIDE_ORDER for etype in _FULL_BOOK_TYPE_ORDER),
+}
 # EventTable codes: indices into the orders, keyed by letter or str enum.
 TYPE_CODE = {t.value: i for i, t in enumerate(_FULL_BOOK_TYPE_ORDER)}
 SIDE_CODE = {s.value: i for i, s in enumerate(_SIDE_ORDER)}
@@ -179,46 +187,30 @@ class BinningScheme:
 
     @property
     def dimension(self) -> int:
-        per_side = {
-            BinningMode.UNSIGNED_TRADES: 1,
-            BinningMode.SIGNED_TRADES: 2,
-            BinningMode.FULL_BOOK: 6,
-        }[self.mode]
-        return per_side * self.n_volume_bins
+        return len(_LAYOUTS[self.mode]) * self.n_volume_bins
 
     def components(self, table: EventTable) -> np.ndarray:
         """Component index of each event, -1 where the scheme drops it."""
         k = self.n_volume_bins
-        comp = np.searchsorted(np.asarray(self.edges, dtype=np.int64), table.volume)
-        if self.mode is BinningMode.FULL_BOOK:
-            # ask block then bid block, each limit, cancel, trade bins
-            return comp + (table.etype + 3 * table.side.astype(np.int64)) * k
-        if self.mode is BinningMode.SIGNED_TRADES:
-            # sell = market order hitting the bid, in the first block
-            comp = comp + k * (table.side == SIDE_CODE[Side.ASK])
-        return np.where(table.etype == TYPE_CODE[EventType.TRADE], comp, -1)
+        comp_of = np.full((len(TYPE_CODE), len(SIDE_CODE), k), -1, dtype=np.int64)
+        for b, (etype, side, _, _) in enumerate(_LAYOUTS[self.mode]):
+            comp_of[TYPE_CODE[etype], SIDE_CODE[side] if side else slice(None)] = \
+                np.arange(b * k, (b + 1) * k)
+        vbin = np.searchsorted(np.asarray(self.edges, dtype=np.int64), table.volume)
+        return comp_of[table.etype, table.side, vbin]
 
     def labels(self) -> list[str]:
-        k = self.n_volume_bins
-        bins = [str(i + 1) for i in range(k)]
-        if self.mode is BinningMode.UNSIGNED_TRADES:
-            return [f"B{i}" for i in bins]
-        if self.mode is BinningMode.SIGNED_TRADES:
-            return [f"S{i}" for i in bins] + [f"B{i}" for i in bins]
-        out = []
-        for side in ("a", "b"):
-            for et in _FULL_BOOK_TYPE_ORDER:
-                out.extend(f"{et.value}{side}{i}" for i in bins)
-        return out
+        return [f"{prefix}{i + 1}" for _, _, prefix, _ in _LAYOUTS[self.mode]
+                for i in range(self.n_volume_bins)]
 
     def side_blocks(self) -> dict[str, list[int]] | None:
         """Component indices per book side, for quadrant reports."""
         k = self.n_volume_bins
-        if self.mode is BinningMode.SIGNED_TRADES:
-            return {"sell": list(range(k)), "buy": list(range(k, 2 * k))}
-        if self.mode is BinningMode.FULL_BOOK:
-            return {"ask": list(range(3 * k)), "bid": list(range(3 * k, 6 * k))}
-        return None
+        out = {}
+        for b, (_, _, _, quadrant) in enumerate(_LAYOUTS[self.mode]):
+            if quadrant:
+                out.setdefault(quadrant, []).extend(range(b * k, (b + 1) * k))
+        return out or None
 
     def event_template(self, comp: int) -> tuple[EventType, Side, int]:
         """(etype, side, volume) mapping back to the given component;
@@ -226,12 +218,9 @@ class BinningScheme:
         if not 0 <= comp < self.dimension:
             raise IndexError(f"component {comp} outside dimension {self.dimension}")
         block, b = divmod(comp, self.n_volume_bins)
+        etype, side, _, _ = _LAYOUTS[self.mode][block]
         volume = (0, *self.edges)[b] + 1  # the smallest volume of bin b
-        if self.mode is BinningMode.UNSIGNED_TRADES:
-            return EventType.TRADE, Side.ASK, volume
-        if self.mode is BinningMode.SIGNED_TRADES:
-            return EventType.TRADE, _SIDE_ORDER[1 - block], volume
-        return _FULL_BOOK_TYPE_ORDER[block % 3], _SIDE_ORDER[block // 3], volume
+        return etype, side or Side.ASK, volume
 
     def to_dict(self) -> dict:
         return {"mode": self.mode.value, "edges": list(self.edges)}

@@ -239,13 +239,14 @@ def value_at_lag(claw, i: int, j: int, lags, zero: str = "average") -> np.ndarra
     ``zero="average"`` blends the two one-sided first bins (suited to a
     quadrature point sitting on the jump) while ``zero="right"`` returns
     the right limit.  The former ``ConditionalLawMatrix.value_at_lag``,
-    except that an event-free source now reads zero at every lag.
+    except that a law with an event-free source or target now reads zero at
+    every lag.
     """
     lags = np.asarray(lags, dtype=float)
     out = np.zeros(lags.shape)
-    # an event-free conditioning component has an identically zero law,
-    # whatever the table holds
-    if claw.lam[j] == 0:
+    # a law that conditions on, or counts, an event-free component is
+    # identically zero, whatever the table holds
+    if claw.lam[j] == 0 or claw.lam[i] == 0:
         return out
     pos = lags > 0
     neg = lags < 0
@@ -269,7 +270,7 @@ def stderr_at_lag(claw, i: int, j: int, lags) -> np.ndarray:
     former ``ConditionalLawMatrix.stderr_at_lag``."""
     lags = np.asarray(lags, dtype=float)
     out = np.zeros(lags.shape)
-    if claw.lam[j] == 0:
+    if claw.lam[j] == 0 or claw.lam[i] == 0:
         return out
     pos = lags > 0
     neg = lags < 0
@@ -309,13 +310,15 @@ def assemble_system(claw, quad) -> tuple[np.ndarray, np.ndarray]:
 def gathered_variance(claw, quad) -> np.ndarray:
     """The solver's former gather of the squared law standard errors at the
     nodes, var_b[(j, q), i]: bin 0 (the right limit) at node 0, a padded
-    zero bin past the law's range and zero for an event-free source j."""
+    zero bin past the law's range and zero for an event-free source j or
+    target i."""
     d = claw.dimension
     q = quad.n_nodes
     padded = np.concatenate([claw.stderr, np.zeros((d, d, 1))], axis=-1)
     bins = np.where(quad.nodes == 0, 0, claw.grid.bin_index(quad.nodes))
     errs = padded[:, :, bins]
     errs[:, claw.lam == 0] = 0.0
+    errs[claw.lam == 0] = 0.0
     return (errs ** 2).transpose(1, 2, 0).reshape(d * q, d)
 
 

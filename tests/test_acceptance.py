@@ -5,9 +5,44 @@ per criterion (run pytest with ``-s`` to see them).  The suite is shared
 with the ``roundtrip`` CLI subcommand.
 """
 
+import re
+
 import pytest
 
 from hawkesflow.acceptance import AcceptanceSuite
+
+# Every check of every criterion, in order: label and target band as the
+# suite prints them at tolerance scale 1, runtime caps included.  A refactor
+# that moves a tolerance, relabels a check or drops one fails here.
+PINNED_BANDS = {
+    1: [("fraction of >=50-pair bins within 4 sigma of 0", "[0.99, inf]"),
+        ("max |norm entry|", "[-inf, 0.02]"),
+        ("max relative |baseline - rate|", "[-inf, 0.02]"),
+        ("runtime seconds", "[-inf, 60.0]")],
+    2: [("empirical rate", "[1.94, 2.06]"),
+        ("kernel norm", "[0.45, 0.55]"),
+        ("baseline", "[0.9, 1.1]"),
+        ("exogeneity pct", "[45.0, 55.00000000000001]"),
+        ("runtime seconds", "[-inf, 300.0]")],
+    3: [("|n_11|", "[-inf, 0.05]"),
+        ("|n_12|", "[-inf, 0.05]"),
+        ("|n_22|", "[-inf, 0.05]"),
+        ("n_21", "[0.34, 0.46]"),
+        ("runtime seconds", "[-inf, 300.0]")],
+    4: [("qualifying nodes", "[20.0, inf]"),
+        ("measurable (target, lag-band) groups", "[2.0, inf]"),
+        ("max group-ratio deviation from global", "[-inf, 0.25]"),
+        ("runtime seconds", "[-inf, 300.0]")],
+    5: [("runs where the negativity hypothesis held", "[20.0, inf]"),
+        ("runs with a negative solved kernel value", "[20.0, inf]"),
+        ("runtime seconds", "[-inf, 300.0]")],
+    6: [("max relative residual over 24 solves", "[-inf, 1e-08]")],
+    7: [("max relative rescaled-norm change", "[-inf, 0.05]"),
+        ("runtime seconds", "[-inf, 300.0]")],
+    8: [("max |row closure - 1| over 25 solves", "[-inf, 1e-12]"),
+        ("quadrature weight-sum relative error", "[-inf, 1e-12]")],
+}
+CHECK_LINE = re.compile(r"  (?:ok |BAD) (.*): \S+ target (\[.*\])")
 
 
 @pytest.fixture(scope="module")
@@ -61,3 +96,10 @@ def test_criterion_8_algebraic_identities(results):
 
 def test_all_criteria_present(results):
     assert sorted(results) == list(range(1, 9))
+
+
+def test_check_labels_and_bands_are_pinned(results):
+    printed = {number: [CHECK_LINE.fullmatch(line).groups()
+                        for line in result.checks]
+               for number, result in results.items()}
+    assert printed == PINNED_BANDS

@@ -354,6 +354,10 @@ class TestRoundtripCommand:
         assert code == 1
         assert "criterion 1 [FAIL]" in capsys.readouterr().out
 
+    def test_unknown_criterion_exits_2(self, capsys):
+        assert main(["roundtrip", "--criteria", "1", "9"]) == 2
+        assert "unknown criteria: [9]" in capsys.readouterr().err
+
 
 class TestDimensionGuard:
     def test_sidecar_dimension_mismatch_is_error(self, tmp_path, model_file):

@@ -221,13 +221,11 @@ class TestSolve:
 
     def test_law_without_symmetric_form_falls_back(self, event_free_3d,
                                                    monkeypatch):
-        # the law conditioned on the event-free component reads zero whatever
-        # the table holds, but a nonzero law of that component, conditioned
-        # on the others, still breaks the time-reversal symmetry that block
-        # elimination relies on
-        values = event_free_3d.values.copy()
-        values[1] = 0.3
-        claw = dataclasses.replace(event_free_3d, values=values)
+        # every law the solver reads has the symmetric form, so the block
+        # pass is made to fail its residual check instead
+        monkeypatch.setattr("hawkesflow.whsolve.solver._BLOCK_RESIDUAL_LIMIT",
+                            -1.0)
+        claw = event_free_3d
         quad = build_quadrature()
         sizes = spy_on_inverse(monkeypatch)
         est = solve_wiener_hopf(claw, quad)
@@ -238,19 +236,22 @@ class TestSolve:
 
     def test_law_conditioned_on_event_free_component_needs_no_fallback(
             self, event_free_3d, monkeypatch):
-        # table values and standard errors where the source has no events
-        # are not read, so the system keeps its symmetric form
-        values, stderr = event_free_3d.values.copy(), event_free_3d.stderr.copy()
-        values[:, 1] = 0.3
-        stderr[:, 1] = 0.05
-        claw = dataclasses.replace(event_free_3d, values=values, stderr=stderr)
+        # table values and standard errors where the source or the target
+        # has no events are not read, so the system keeps its symmetric form
         quad = build_quadrature()
-        sizes = spy_on_inverse(monkeypatch)
-        est = solve_wiener_hopf(claw, quad)
-        assert sizes and max(sizes) <= _BLOCK_LEAF
         ref = solve_wiener_hopf(event_free_3d, quad)
-        assert np.array_equal(est.values, ref.values)
-        assert np.array_equal(est.stderr, ref.stderr)
+        for laws in ((slice(None), 1), 1):
+            values = event_free_3d.values.copy()
+            stderr = event_free_3d.stderr.copy()
+            values[laws] = 0.3
+            stderr[laws] = 0.05
+            claw = dataclasses.replace(event_free_3d, values=values,
+                                       stderr=stderr)
+            sizes = spy_on_inverse(monkeypatch)
+            est = solve_wiener_hopf(claw, quad)
+            assert sizes and max(sizes) <= _BLOCK_LEAF
+            assert np.array_equal(est.values, ref.values)
+            assert np.array_equal(est.stderr, ref.stderr)
 
     def test_stderr_propagation_shapes_and_positivity(self, oracle_1d):
         est = solve_wiener_hopf(oracle_1d, build_quadrature())
