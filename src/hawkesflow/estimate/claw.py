@@ -93,32 +93,45 @@ class ConditionalLawMatrix:
         ``zero="right"`` returns the right limit.  Lags past ``h_max`` read
         zero.
         """
+        columns = self.lag_columns(lags, zero)
+        for table in self.lag_tables(stderr):
+            yield np.take(table, columns)
+
+    def lag_columns(self, lags, zero: str = "average") -> np.ndarray:
+        """Where ``at_lags`` reads the law at each signed lag: the
+        ``(D, *lags.shape)`` flat indices into every table of
+        ``lag_tables``, row k for the (k <- j) law.  One index serves every
+        source and both tables."""
         if zero not in ("average", "right"):
             raise ValueError(f"unknown lag-zero convention {zero!r}")
         lags = np.asarray(lags, dtype=float)
-        table = self.stderr if stderr else self.values
-        d, n = self.dimension, self.grid.n_bins
-        # For each source, cols holds one row per target: columns 0..n-1 are
-        # the bins at positive lags, n..2n-1 the reflected bins at negative
-        # lags, 2n a zero for lags past h_max and 2n+1 the value at lag
-        # zero; idx picks the column of every lag, once for all sources.
+        n = self.grid.n_bins
         bins = self.grid.bin_index(np.abs(lags))
         idx = np.where(bins < 0, 2 * n, bins + n * (lags < 0))
-        idx[lags == 0] = 2 * n + 1
-        cols = np.zeros((d, 2 * n + 2))
+        # the right limit at zero is the first bin at positive lags
+        idx[lags == 0] = 2 * n + 1 if zero == "average" else 0
+        rows = np.arange(self.dimension).reshape((-1,) + (1,) * lags.ndim)
+        return idx + (2 * n + 2) * rows
+
+    def lag_tables(self, stderr: bool = False):
+        """For each source j in turn, yield the ``(D, 2 n_bins + 2)`` table
+        that ``lag_columns`` indexes, row k for the (k <- j) law (its
+        standard error with ``stderr=True``): columns 0..n-1 are the bins
+        at positive lags, n..2n-1 the reflected bins at negative lags, 2n a
+        zero for lags past ``h_max`` and 2n+1 the average of both one-sided
+        first bins, read at lag zero."""
+        table = self.stderr if stderr else self.values
+        d, n = self.dimension, self.grid.n_bins
         event_free = self.lam <= 0
         for j in range(d):
-            if event_free[j]:
-                cols[:] = 0.0
-            else:
+            cols = np.zeros((d, 2 * n + 2))
+            if not event_free[j]:
                 ratio = self.lam / self.lam[j]
                 cols[:, :n] = table[:, j]
                 cols[:, n:2 * n] = ratio[:, None] * table[j]
-                cols[:, 2 * n + 1] = table[:, j, 0]
-                if zero == "average":
-                    cols[:, 2 * n + 1] = 0.5 * (table[:, j, 0] + ratio * table[j, :, 0])
+                cols[:, 2 * n + 1] = 0.5 * (table[:, j, 0] + ratio * table[j, :, 0])
                 cols[event_free] = 0.0
-            yield cols[:, idx]
+            yield cols
 
     @classmethod
     def from_function(cls, grid: LinLogGrid, func, lam) -> "ConditionalLawMatrix":

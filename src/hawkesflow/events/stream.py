@@ -80,6 +80,9 @@ def assign_components(table: EventTable, scheme: BinningScheme,
     last = max((int(c[-1]) for c in per_comp_us if len(c)), default=0)
     if duration is None:
         duration = max(1.0, math.ceil(last * MICROSECOND))
+    elif not (math.isfinite(duration) and duration > 0):
+        raise ValueError(
+            f"session duration must be finite and positive, got {duration}")
     elif last * MICROSECOND > duration:
         raise ValueError(
             f"events extend to {last * MICROSECOND} s beyond the declared "

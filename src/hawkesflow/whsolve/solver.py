@@ -21,14 +21,18 @@ positivity projection is applied.
 The time-reversal identity makes the system similar to a symmetric matrix:
 with s = sqrt(lam_j w_q) per row (j, q), taking lam = 1 for an event-free
 component (its law is zero, so its rows and columns of A are the identity),
-M = diag(s) A diag(s)^-1 is symmetric.  M is overwritten with its inverse by
-recursive symmetric 2x2 block elimination, mostly matrix products, and
-scaled back to A^-1; the solve peaks at about 2.3 (D Q)^2 doubles.  Nothing
-pivots across blocks, and M can be indefinite (it is on a full order book),
-so a leading block may be near singular while A is not.  The block inverse
-is kept only when its solution's relative residual and that of
-A (A^-1 1) = 1 are both at most 1e-10; otherwise, or when a leaf block is
-exactly singular, A is inverted again with LAPACK's pivoted inverse.
+M = diag(s) A diag(s)^-1 is symmetric.  M is written one row block of A
+(source j) at a time into the one n x n buffer of the solve, n = D Q, which
+is then overwritten with M's inverse by recursive symmetric 2x2 block
+elimination, mostly matrix products, and scaled back to A^-1.  A is never
+held whole: a second pass over its row blocks gives ||A||_1 and the
+products with A that the residual checks below need, so the solve peaks at
+about 1.35 n^2 doubles for D = 12.  Nothing pivots across blocks, and M
+can be indefinite (it is on a full order book), so a leading block may be
+near singular while A is not.  The block inverse is kept only when its
+solution's relative residual and that of A (A^-1 1) = 1 are both at most
+1e-10; otherwise, or when a leaf block is exactly singular, A is built
+whole and inverted again with LAPACK's pivoted inverse.
 """
 
 from __future__ import annotations
@@ -129,26 +133,34 @@ def _at_nodes(claw: ConditionalLawMatrix, nodes: np.ndarray,
                                                         stderr=stderr)])
 
 
-def _assemble_system(claw: ConditionalLawMatrix,
-                     quad: QuadratureGrid) -> tuple[np.ndarray, np.ndarray]:
-    """System matrix and right-hand sides, one RHS column per target row.
+def _row_block_columns(claw: ConditionalLawMatrix,
+                       quad: QuadratureGrid) -> np.ndarray:
+    """The law lookup behind every row block of A, made once per solve:
+    entry [q, k, m] indexes g[k, j](x_q - x_m) in source j's law table."""
+    lag = quad.nodes[:, None] - quad.nodes[None, :]
+    return np.ascontiguousarray(claw.lag_columns(lag).transpose(1, 0, 2))
+
+
+def _row_blocks(claw: ConditionalLawMatrix, quad: QuadratureGrid,
+                columns: np.ndarray, out: np.ndarray):
+    """For each source j in turn, write the row block (j, q) of the system
+    matrix into ``out`` and yield ``(j, rows)``, the (Q, D Q) rows written.
+    ``out`` holds all of A, or one row block that each source overwrites.
 
     Row blocks are indexed by (source j, node q), column blocks by the
     unknowns (source k, node m):  A[(j,q),(k,m)] = delta + w_m g[k,j](x_q - x_m),
-    with the average of both one-sided first bins at lag zero.  Each row
-    block is one lookup of every (k <- j) law; b takes the right limit at
-    the first node.
+    with the average of both one-sided first bins at lag zero.
     """
-    d = claw.dimension
     q = quad.n_nodes
-    lag = quad.nodes[:, None] - quad.nodes[None, :]
-    a = np.empty((d, q, d, q))
-    eye = np.eye(q)
-    for j, g in enumerate(claw.at_lags(lag)):
-        g *= quad.weights
-        g[j] += eye
-        a[j] = g.transpose(1, 0, 2)
-    return a.reshape(d * q, d * q), _at_nodes(claw, quad.nodes)
+    for j, table in enumerate(claw.lag_tables()):
+        rows = out[j * q:(j + 1) * q] if len(out) > q else out
+        block = rows.reshape(columns.shape)
+        # the indices are in range by construction; mode "raise" would
+        # gather through a buffer the size of the block
+        np.take(table, columns, out=block, mode="clip")
+        block *= quad.weights
+        rows.reshape(-1)[j * q::rows.shape[1] + 1][:q] += 1.0
+        yield j, rows
 
 
 def _block_inverse(m: np.ndarray, leaf: int = _BLOCK_LEAF) -> np.ndarray:
@@ -174,10 +186,10 @@ def _block_inverse(m: np.ndarray, leaf: int = _BLOCK_LEAF) -> np.ndarray:
     return m
 
 
-def _relative_residual(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> float:
-    """``||a x - b|| / ||b||`` in the Frobenius norm, 0 when ``b`` is 0."""
+def _relative_residual(ax: np.ndarray, b: np.ndarray) -> float:
+    """``||ax - b|| / ||b||`` in the Frobenius norm, 0 when ``b`` is 0."""
     bnorm = np.linalg.norm(b)
-    return float(np.linalg.norm(a @ x - b) / bnorm) if bnorm > 0 else 0.0
+    return float(np.linalg.norm(ax - b) / bnorm) if bnorm > 0 else 0.0
 
 
 def _symmetrizing_scale(lam: np.ndarray, quad: QuadratureGrid) -> np.ndarray:
@@ -186,34 +198,62 @@ def _symmetrizing_scale(lam: np.ndarray, quad: QuadratureGrid) -> np.ndarray:
                    * np.tile(quad.weights, len(lam)))
 
 
-def _invert(a: np.ndarray, b: np.ndarray, lam: np.ndarray,
-            quad: QuadratureGrid):
-    """``(inv(a), inv(a) @ b, relative residual of that solution)``, or None
-    when ``a`` is exactly singular; block inverse or pivoted fallback as the
-    module docstring sets out."""
-    s = _symmetrizing_scale(lam, quad)
-    inv = s[:, None] * a
-    inv /= s
+def _apply_system(claw: ConditionalLawMatrix, quad: QuadratureGrid,
+                  columns: np.ndarray, x: np.ndarray):
+    """``(A @ x, ||A||_1)`` from one pass over the row blocks of A, one
+    product per block.  The column sums of |A| are added up row after row,
+    the order ``np.linalg.norm(A, 1)`` takes."""
+    q = quad.n_nodes
+    ax = np.empty_like(x)
+    col_sums = np.zeros(len(x))
+    # row 0 carries the sums so far into the reduction over each block
+    work = np.empty((q + 1, len(x)))
+    for j, rows in _row_blocks(claw, quad, columns, work[1:]):
+        ax[j * q:(j + 1) * q] = rows @ x
+        np.abs(rows, out=rows)
+        work[0] = col_sums
+        np.add.reduce(work, axis=0, out=col_sums)
+    return ax, col_sums.max()
+
+
+def _invert(claw: ConditionalLawMatrix, quad: QuadratureGrid, b: np.ndarray):
+    """``(inv(A), inv(A) @ b, relative residual of that solution, ||A||_1)``,
+    or None when A is exactly singular; block inverse or pivoted fallback
+    as the module docstring sets out."""
+    q = quad.n_nodes
+    n = claw.dimension * q
+    columns = _row_block_columns(claw, quad)
+    s = _symmetrizing_scale(claw.lam, quad)
+    inv = np.empty((n, n))
+    # M one row block at a time, each entry rounded as in (s_r A_rc) / s_c
+    for j, rows in _row_blocks(claw, quad, columns, inv):
+        rows *= s[j * q:(j + 1) * q, None]
+        rows /= s
     try:
         _block_inverse(inv)
         inv *= s
         inv /= s[:, None]
         sol = inv @ b
-        ones = np.ones(len(a))
-        residual = _relative_residual(a, sol, b)
+        ones = np.ones(n)
+        ax, a_norm = _apply_system(claw, quad, columns,
+                                   np.column_stack([sol, inv @ ones]))
+        residual = _relative_residual(ax[:, :-1], b)
         # written so that a NaN residual takes the fallback too
         if (residual <= _BLOCK_RESIDUAL_LIMIT and
-                _relative_residual(a, inv @ ones, ones) <= _BLOCK_RESIDUAL_LIMIT):
-            return inv, sol, residual
+                _relative_residual(ax[:, -1], ones) <= _BLOCK_RESIDUAL_LIMIT):
+            return inv, sol, residual, a_norm
     except np.linalg.LinAlgError:
         pass
     del inv
+    a = np.empty((n, n))
+    for _ in _row_blocks(claw, quad, columns, a):
+        pass
     try:
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError:
         return None
     sol = inv @ b
-    return inv, sol, _relative_residual(a, sol, b)
+    return inv, sol, _relative_residual(a @ sol, b), np.linalg.norm(a, 1)
 
 
 def solve_wiener_hopf(claw: ConditionalLawMatrix,
@@ -235,13 +275,12 @@ def solve_wiener_hopf(claw: ConditionalLawMatrix,
             f"{claw.grid.h_max}")
     d = claw.dimension
     q = quad.n_nodes
-    a, b = _assemble_system(claw, quad)
-    a_norm = np.linalg.norm(a, 1)
-    inverted = _invert(a, b, claw.lam, quad)
+    b = _at_nodes(claw, quad.nodes)
+    inverted = _invert(claw, quad, b)
     if inverted is None:
         condition = np.inf
     else:
-        inv, sol, residual = inverted
+        inv, sol, residual, a_norm = inverted
         # |inv| in place: its 1-norm here, squared below for the stderr
         condition = a_norm * np.abs(inv, out=inv).sum(axis=0).max()
     # written so that a NaN condition fails the gate too

@@ -347,6 +347,7 @@ class TestRoundtripCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "criterion 1 [PASS]" in out
+        assert "run configuration" not in out
 
     def test_tightened_tolerance_fails_with_exit_1(self, capsys):
         code = main(["roundtrip", "--criteria", "1",
@@ -357,6 +358,13 @@ class TestRoundtripCommand:
     def test_unknown_criterion_exits_2(self, capsys):
         assert main(["roundtrip", "--criteria", "1", "9"]) == 2
         assert "unknown criteria: [9]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", [["--seed", "3"], ["--threads", "2"],
+                                        ["--config", "run.json"]])
+    def test_run_configuration_options_exit_2(self, option):
+        with pytest.raises(SystemExit) as exc:
+            main(["roundtrip", *option])
+        assert exc.value.code == 2
 
 
 class TestDimensionGuard:
@@ -391,6 +399,34 @@ class TestDimensionGuard:
         assert "events.csv" in err and "short.csv" in err
         assert main(args + ["--duration", "500", "--out",
                             str(tmp_path / "y")]) == 0
+
+
+class TestDurationGuard:
+    def estimate_args(self, sim, tmp_path):
+        return ["estimate", "--input", str(sim / "events.csv"),
+                "--dimension", "1", "--out", str(tmp_path / "est"),
+                "--h-max", "2.0", "--n-log", "50"]
+
+    @pytest.mark.parametrize("duration", ["inf", "nan"])
+    def test_duration_not_finite_exits_2(self, tmp_path, model_file, capsys,
+                                         duration):
+        sim = run_simulate(tmp_path, model_file, horizon=200.0)
+        capsys.readouterr()
+        args = self.estimate_args(sim, tmp_path) + ["--duration", duration]
+        assert main(args) == 2
+        assert (f"session duration must be finite and positive, got {duration}"
+                in capsys.readouterr().err)
+
+    def test_sidecar_horizon_not_finite_exits_2(self, tmp_path, model_file,
+                                                capsys):
+        sim = run_simulate(tmp_path, model_file, horizon=200.0)
+        meta = json.loads((sim / "metadata.json").read_text())
+        meta["horizon"] = float("inf")
+        (sim / "metadata.json").write_text(json.dumps(meta))
+        capsys.readouterr()
+        assert main(self.estimate_args(sim, tmp_path)) == 2
+        assert ("session duration must be finite and positive, got inf"
+                in capsys.readouterr().err)
 
 
 def modules_after(code: str) -> list[str]:

@@ -199,6 +199,12 @@ class TestBoundaryTies:
         with pytest.raises(ValueError, match="beyond the declared"):
             assign_components(events, BinningScheme.canonical(1), duration=5.0)
 
+    @pytest.mark.parametrize("duration", [np.inf, -np.inf, np.nan, 0.0, -5.0])
+    def test_duration_not_finite_and_positive_rejected(self, duration):
+        events = EventTable.from_rows([(1_000_000, T, A, 1)])
+        with pytest.raises(ValueError, match=f"finite and positive, got {duration}"):
+            assign_components(events, BinningScheme.canonical(1), duration=duration)
+
 
 class TestStrictlyIncreasing:
     # sorted nonnegative times drawn from a few values, so that ties and
