@@ -4,8 +4,11 @@ Grid and quadrature defaults are the standard ones (1 ms / 2e4 s lin-log
 law grid with 50+1500 bins; 0.5 ms / 0.5 s quadrature with 80+80 bins) and
 are echoed at startup so every run is self-documenting.  A saved config
 file re-executes identically: flags override the config, which overrides
-the defaults.  Exit codes: 0 success, 1 acceptance failure, 2 usage or
-input error.
+the defaults.  Each RunConfig field is declared once: its flag is the field
+name with ``-`` for ``_`` and takes the type a config file must give it.
+``estimate``, ``report`` and ``robustness`` take every field, ``simulate``
+only ``--seed`` and ``roundtrip`` none.  Exit codes: 0 success, 1
+acceptance failure, 2 usage or input error.
 """
 
 from __future__ import annotations
@@ -40,12 +43,13 @@ from .grids import (CLAW_GRID_DEFAULTS, QUADRATURE_DEFAULTS, build_linlog_grid,
 __all__ = ["main", "RunConfig"]
 
 _WEIGHTINGS = ("events", "sessions")
-# What a config file may give for each RunConfig annotation.  bool is
+# For each RunConfig annotation but that of ``weighting``: the type of its
+# flag, what a config file may give for it and how to name that.  bool is
 # refused separately: Python counts it as an int.
 _CONFIG_TYPES = {
-    "int": ((int,), "an integer"),
-    "float": ((int, float), "a number"),
-    "float | None": ((int, float, type(None)), "a number or null"),
+    "int": (int, (int,), "an integer"),
+    "float": (float, (int, float), "a number"),
+    "float | None": (float, (int, float, type(None)), "a number or null"),
 }
 
 
@@ -72,6 +76,13 @@ class RunConfig:
     seed: int = 0
     threads: int = 1
 
+    def __post_init__(self):
+        if self.threads < 1:
+            raise HawkesflowError(f"threads must be at least 1, got {self.threads}")
+        if self.randomize_jitter_us is not None and self.randomize_round_us is None:
+            raise HawkesflowError("randomize_jitter_us needs randomize_round_us: "
+                                  "a jitter is added only to rounded timestamps")
+
     @classmethod
     def load(cls, path) -> "RunConfig":
         with open(path, "r", encoding="utf-8") as fh:
@@ -90,7 +101,7 @@ class RunConfig:
                 ok = value in _WEIGHTINGS
                 expected = f"one of {', '.join(_WEIGHTINGS)}"
             else:
-                types, expected = _CONFIG_TYPES[f.type]
+                _, types, expected = _CONFIG_TYPES[f.type]
                 ok = isinstance(value, types) and not isinstance(value, bool)
             if not ok:
                 raise ParseError(f"{path}: config key {f.name!r} takes {expected}, "
@@ -103,12 +114,8 @@ class RunConfig:
             fh.write("\n")
 
     def overlay(self, args: argparse.Namespace) -> "RunConfig":
-        out = RunConfig(**asdict(self))
-        for f in fields(RunConfig):
-            value = getattr(args, f.name, None)
-            if value is not None:
-                setattr(out, f.name, value)
-        return out
+        given = {f.name: getattr(args, f.name, None) for f in fields(self)}
+        return replace(self, **{k: v for k, v in given.items() if v is not None})
 
 
 def _echo_config(config: RunConfig) -> None:
@@ -348,38 +355,39 @@ def cmd_robustness(args, config: RunConfig) -> int:
     return 0
 
 
+def _add_run_options(p: argparse.ArgumentParser, names=None) -> None:
+    """``--config`` and a flag for each RunConfig field in ``names`` (all
+    when None): the field name with ``-`` for ``_``, taking the type a
+    config file must give the field."""
+    p.add_argument("--config", help="JSON config file with RunConfig fields")
+    for f in fields(RunConfig):
+        if names is not None and f.name not in names:
+            continue
+        kind = ({"choices": _WEIGHTINGS} if f.name == "weighting"
+                else {"type": _CONFIG_TYPES[f.type][0]})
+        p.add_argument("--" + f.name.replace("_", "-"), **kind)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hawkesflow",
         description="Nonparametric Hawkes analysis of order-flow event streams")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True):
-        p.add_argument("--config", help="JSON config file with RunConfig fields")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
-        if needs_input:
-            p.add_argument("--input", nargs="+", required=True,
-                           help="event CSV files, one per session")
-            p.add_argument("--scheme", help="binning scheme JSON")
-            p.add_argument("--dimension", type=int,
-                           help="use the canonical scheme of this dimension")
-            p.add_argument("--duration", type=float,
-                           help="session duration in seconds")
-            p.add_argument("--window-start", dest="window_start", type=float)
-            p.add_argument("--window-end", dest="window_end", type=float)
-            p.add_argument("--randomize-round-us", dest="randomize_round_us",
-                           type=float)
-            p.add_argument("--randomize-jitter-us", dest="randomize_jitter_us",
-                           type=float)
-            p.add_argument("--weighting", choices=_WEIGHTINGS,
-                           default=None)
-            for name in ("h-min", "h-max", "x-min", "x-max"):
-                p.add_argument(f"--{name}", dest=name.replace("-", "_"),
-                               type=float)
-            for name in ("n-lin", "n-log", "quad-n-lin", "quad-n-log"):
-                p.add_argument(f"--{name}", dest=name.replace("-", "_"),
-                               type=int)
+    def estimation(name, summary):
+        """A subcommand that estimates from event files: it reads every
+        RunConfig field."""
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--out", required=True)
+        _add_run_options(p)
+        p.add_argument("--input", nargs="+", required=True,
+                       help="event CSV files, one per session")
+        p.add_argument("--scheme", help="binning scheme JSON")
+        p.add_argument("--dimension", type=int,
+                       help="use the canonical scheme of this dimension")
+        p.add_argument("--duration", type=float,
+                       help="session duration in seconds")
+        return p
 
     p_sim = sub.add_parser("simulate", help="simulate a model to an event CSV")
     p_sim.add_argument("--model", required=True, help="model JSON file")
@@ -388,18 +396,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--scheme", help="binning scheme JSON for the "
                                         "component-to-event mapping")
     p_sim.add_argument("--out", required=True)
-    common(p_sim, needs_input=False)
+    _add_run_options(p_sim, ["seed"])
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_est = sub.add_parser("estimate", help="estimate laws and kernels")
-    p_est.add_argument("--out", required=True)
-    common(p_est)
+    p_est = estimation("estimate", "estimate laws and kernels")
     p_est.set_defaults(func=cmd_estimate)
 
-    p_rep = sub.add_parser("report", help="estimate and emit report bundle")
-    p_rep.add_argument("--out", required=True)
+    p_rep = estimation("report", "estimate and emit report bundle")
     p_rep.add_argument("--curves", choices=["diag", "all"], default="diag")
-    common(p_rep)
     p_rep.set_defaults(func=cmd_report)
 
     p_rt = sub.add_parser("roundtrip", help="run the acceptance suite")
@@ -409,14 +413,11 @@ def build_parser() -> argparse.ArgumentParser:
                       help="subset of criterion numbers to run")
     p_rt.set_defaults(func=cmd_roundtrip)
 
-    p_rob = sub.add_parser("robustness",
-                           help="compare estimates on perturbed inputs")
-    p_rob.add_argument("--out", required=True)
+    p_rob = estimation("robustness", "compare estimates on perturbed inputs")
     p_rob.add_argument("--round-us", dest="round_us", type=float)
     p_rob.add_argument("--jitter-us", dest="jitter_us", type=float)
     p_rob.add_argument("--compare-window", dest="compare_window", type=float,
                        nargs=2, metavar=("START", "END"))
-    common(p_rob)
     p_rob.set_defaults(func=cmd_robustness)
     return parser
 

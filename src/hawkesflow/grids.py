@@ -2,9 +2,10 @@
 
 Both the conditional-law histogram and the kernel quadrature use the same
 two-regime layout: uniformly spaced edges near zero (where the short-lag
-structure lives) followed by log-spaced edges out to the maximum lag.  The
-histogram variant stores bin edges; the quadrature variant stores nodes
-plus trapezoidal weights for integration over ``[0, x_max]``.
+structure lives) followed by log-spaced edges out to the maximum lag.  One
+builder makes that layout, a ``LinLogGrid`` of bin edges; a
+``QuadratureGrid`` is such a grid whose edges are the nodes, plus their
+trapezoid weights for integration over ``[0, x_max]``.
 """
 
 from __future__ import annotations
@@ -30,35 +31,6 @@ CLAW_GRID_DEFAULTS = dict(h_min=1e-3, h_max=2e4, n_lin=50, n_log=1500)
 # Default kernel quadrature: 80 linear bins up to 0.5 ms, 80 log bins
 # up to 0.5 s.
 QUADRATURE_DEFAULTS = dict(x_min=0.5e-3, x_max=0.5, n_lin=80, n_log=80)
-
-
-def _linlog_edges(delta_lin: float, t_break: float, delta_log: float,
-                  t_max: float, n_lin: int, n_log: int) -> np.ndarray:
-    """Edges ``[0, d, 2d, ..., t_break, t_break*e^dl, ..., t_max]``."""
-    if delta_lin <= 0:
-        raise ValueError("linear step must be positive")
-    if not (n_lin * delta_lin <= t_break * (1 + 1e-12)):
-        raise ValueError(
-            f"linear part overruns the breakpoint: "
-            f"{n_lin} * {delta_lin} > {t_break}")
-    if not (t_break < t_max):
-        raise ValueError(f"breakpoint {t_break} must lie below maximum {t_max}")
-    if delta_log <= 0:
-        raise ValueError("log step must be positive")
-    lin = np.arange(n_lin + 1, dtype=float) * delta_lin
-    # Snap the end of the linear ramp onto the breakpoint when they agree,
-    # and bridge with an extra edge when the caller left a gap.
-    if math.isclose(lin[-1], t_break, rel_tol=1e-9):
-        lin[-1] = t_break
-    else:
-        lin = np.append(lin, t_break)
-    log = t_break * np.exp(delta_log * np.arange(1, n_log + 1))
-    if math.isclose(log[-1], t_max, rel_tol=1e-9):
-        log[-1] = t_max
-    edges = np.concatenate([lin, log])
-    if np.any(np.diff(edges) <= 0):
-        raise ValueError("grid edges are not strictly increasing")
-    return edges
 
 
 @dataclass(frozen=True)
@@ -110,7 +82,8 @@ def build_linlog_grid(delta_lin: float | None = None,
                       h_max: float = CLAW_GRID_DEFAULTS["h_max"],
                       n_lin: int = CLAW_GRID_DEFAULTS["n_lin"],
                       n_log: int = CLAW_GRID_DEFAULTS["n_log"]) -> LinLogGrid:
-    """Build a lag-histogram grid.
+    """Build a lag-histogram grid with edges ``[0, delta_lin, ..., h_min,
+    h_min * exp(delta_log), ..., h_max]``.
 
     When ``delta_lin``/``delta_log`` are omitted they are derived so that the
     linear part spans ``[0, h_min]`` in ``n_lin`` bins and the log part spans
@@ -124,40 +97,60 @@ def build_linlog_grid(delta_lin: float | None = None,
         delta_lin = h_min / n_lin
     if delta_log is None:
         delta_log = math.log(h_max / h_min) / n_log
-    edges = _linlog_edges(delta_lin, h_min, delta_log, h_max, n_lin, n_log)
+    if delta_lin <= 0:
+        raise ValueError("linear step must be positive")
+    if not (n_lin * delta_lin <= h_min * (1 + 1e-12)):
+        raise ValueError(
+            f"linear part overruns the breakpoint: "
+            f"{n_lin} * {delta_lin} > {h_min}")
+    if delta_log <= 0:
+        raise ValueError("log step must be positive")
+    lin = np.arange(n_lin + 1, dtype=float) * delta_lin
+    # Snap the end of the linear ramp onto the breakpoint when they agree,
+    # and bridge with an extra edge when the caller left a gap.
+    if math.isclose(lin[-1], h_min, rel_tol=1e-9):
+        lin[-1] = h_min
+    else:
+        lin = np.append(lin, h_min)
+    log = h_min * np.exp(delta_log * np.arange(1, n_log + 1))
+    if math.isclose(log[-1], h_max, rel_tol=1e-9):
+        log[-1] = h_max
+    edges = np.concatenate([lin, log])
+    if np.any(np.diff(edges) <= 0):
+        raise ValueError("grid edges are not strictly increasing")
     return LinLogGrid(delta_lin, h_min, delta_log, h_max, n_lin, n_log, edges)
 
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Lin-log node/weight scheme for integration over ``[0, x_max]``.
+    """Trapezoid rule for integration over ``[0, x_max]`` whose nodes are
+    the edges of a lin-log grid, ``x_min`` its breakpoint.
 
-    Weights are trapezoidal on the nonuniform node set, so they are positive
-    and sum to ``x_max`` exactly (up to rounding).
+    The weights are positive and sum to ``x_max`` exactly (up to rounding).
     """
 
-    eps_lin: float
-    x_min: float
-    eps_log: float
-    x_max: float
-    n_lin: int
-    n_log: int
-    nodes: np.ndarray = field(repr=False)
+    grid: LinLogGrid
     weights: np.ndarray = field(repr=False)
+
+    @property
+    def nodes(self) -> np.ndarray:
+        return self.grid.edges
+
+    @property
+    def x_min(self) -> float:
+        return self.grid.h_min
+
+    @property
+    def x_max(self) -> float:
+        return self.grid.h_max
 
     @property
     def n_nodes(self) -> int:
         return len(self.nodes)
 
     def to_dict(self) -> dict:
-        return {
-            "eps_lin": self.eps_lin,
-            "x_min": self.x_min,
-            "eps_log": self.eps_log,
-            "x_max": self.x_max,
-            "n_lin": self.n_lin,
-            "n_log": self.n_log,
-        }
+        keys = ("eps_lin", "x_min", "eps_log", "x_max", "n_lin", "n_log")
+        return dict(zip(keys, self.grid.to_dict().values()))
 
 
 def trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
@@ -174,15 +167,10 @@ def build_quadrature(eps_lin: float | None = None,
                      x_max: float = QUADRATURE_DEFAULTS["x_max"],
                      n_lin: int = QUADRATURE_DEFAULTS["n_lin"],
                      n_log: int = QUADRATURE_DEFAULTS["n_log"]) -> QuadratureGrid:
-    """Build a quadrature grid; derived steps follow ``build_linlog_grid``."""
+    """Build a quadrature grid on the edges of
+    ``build_linlog_grid(eps_lin, x_min, eps_log, x_max, n_lin, n_log)``."""
+    # checked here too, so that the error names this function's arguments
     if x_min <= 0 or x_max <= x_min:
         raise ValueError(f"need 0 < x_min < x_max, got {x_min}, {x_max}")
-    if n_lin < 1 or n_log < 1:
-        raise ValueError("node counts must be at least 1")
-    if eps_lin is None:
-        eps_lin = x_min / n_lin
-    if eps_log is None:
-        eps_log = math.log(x_max / x_min) / n_log
-    nodes = _linlog_edges(eps_lin, x_min, eps_log, x_max, n_lin, n_log)
-    return QuadratureGrid(eps_lin, x_min, eps_log, x_max, n_lin, n_log,
-                          nodes, trapezoid_weights(nodes))
+    grid = build_linlog_grid(eps_lin, x_min, eps_log, x_max, n_lin, n_log)
+    return QuadratureGrid(grid, trapezoid_weights(grid.edges))

@@ -93,17 +93,16 @@ class KernelEstimate:
 
 def _divide_by_rate(x: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """``x / lam`` along the first axis of ``x``, NaN in the rows whose rate
-    is 0: the quantity is undefined for an event-free component."""
-    lam = lam.reshape((-1,) + (1,) * (x.ndim - 1))
+    is not positive: the quantity is undefined for an event-free component."""
+    lam = np.asarray(lam, dtype=float).reshape((-1,) + (1,) * (x.ndim - 1))
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(lam > 0, x / lam, np.nan)
 
 
 def rescaled_norms(norms: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Fraction-of-intensity norms: (lam_j / lam_i) * n_ij."""
+    """Fraction-of-intensity norms: (lam_j / lam_i) * n_ij, NaN in row i
+    when lam_i is not positive."""
     lam = np.asarray(lam, dtype=float)
-    if np.any(lam <= 0):
-        raise ZeroDivisionError("rescaled norms need strictly positive rates")
     return _divide_by_rate(norms * lam[None, :], lam)
 
 
@@ -118,10 +117,8 @@ def recover_baseline(norms: np.ndarray, lam: np.ndarray) -> np.ndarray:
 
 
 def exogeneity_ratios(baseline: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Exogenous fraction of each component's activity, in percent."""
-    lam = np.asarray(lam, dtype=float)
-    if np.any(lam <= 0):
-        raise ZeroDivisionError("exogeneity ratios need strictly positive rates")
+    """Exogenous fraction of each component's activity, in percent: NaN
+    for a component whose rate is not positive."""
     return _divide_by_rate(100.0 * np.asarray(baseline, dtype=float), lam)
 
 
@@ -304,9 +301,8 @@ def solve_wiener_hopf(claw: ConditionalLawMatrix,
     baseline = recover_baseline(norms, lam)
     return KernelEstimate(
         quad=quad, values=values, stderr=stderr, lam=lam.copy(),
-        norms=norms, rescaled=_divide_by_rate(norms * lam[None, :], lam),
-        baseline=baseline,
-        exogeneity_pct=_divide_by_rate(100.0 * baseline, lam),
+        norms=norms, rescaled=rescaled_norms(norms, lam), baseline=baseline,
+        exogeneity_pct=exogeneity_ratios(baseline, lam),
         residual=residual,
         condition_estimate=float(condition),
         meta={"negative_baseline": bool(np.any(baseline < 0))},

@@ -1,3 +1,4 @@
+import argparse
 import inspect
 import json
 import os
@@ -9,10 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from hawkesflow import cli
+from hawkesflow import cli, report
 from hawkesflow.cli import RunConfig, _events_from_stream, main
-from hawkesflow.errors import ParseError
-from hawkesflow.estimate import estimate_conditional_law
+from hawkesflow.errors import HawkesflowError, ParseError
+from hawkesflow.estimate import build_linlog_grid, estimate_conditional_law
 from hawkesflow.events import (
     BinningScheme,
     MultivariateEventStream,
@@ -26,6 +27,7 @@ from hawkesflow.events import (
 )
 from hawkesflow.events.types import MICROSECOND
 from hawkesflow.simulate import ExponentialKernel, HawkesModel, ZeroKernel, save_model
+from hawkesflow.whsolve import build_quadrature, save_kernel_estimate, solve_wiener_hopf
 from oracles import bump_collisions
 
 
@@ -169,6 +171,29 @@ class TestBenchmarkCallSignatures:
                      id="flow_statistics"),
         pytest.param(assign_components, ("events", "scheme", 1.0),
                      {"session_id": "session-0"}, id="assign_components"),
+        pytest.param(build_linlog_grid, (),
+                     {"h_min": 1e-3, "h_max": 5.0, "n_lin": 50, "n_log": 300},
+                     id="build_linlog_grid"),
+        pytest.param(build_quadrature, (),
+                     {"x_min": 5e-4, "x_max": 0.5, "n_lin": 80, "n_log": 80},
+                     id="build_quadrature"),
+        pytest.param(solve_wiener_hopf, ("claw", "quad"),
+                     {"compute_stderr": True}, id="solve_wiener_hopf"),
+        pytest.param(save_kernel_estimate, ("est", "out_dir"), {"labels": []},
+                     id="save_kernel_estimate"),
+        pytest.param(report.ReportBundle, ("out_dir",), {"metadata": {}},
+                     id="ReportBundle"),
+        pytest.param(report.emit_norm_tables,
+                     ("est", "labels", "out_dir", "scheme"), {},
+                     id="emit_norm_tables"),
+        pytest.param(report.emit_kernel_curves,
+                     ("est", "selection", "out_dir", "labels"), {},
+                     id="emit_kernel_curves"),
+        pytest.param(report.emit_claw_curves,
+                     ("claw", "selection", "out_dir", "labels"), {},
+                     id="emit_claw_curves"),
+        pytest.param(report.emit_flow_report, ("stats", "out_dir", "labels"),
+                     {}, id="emit_flow_report"),
     ])
     def test_call_binds(self, func, args, kwargs):
         inspect.signature(func).bind(*args, **kwargs)
@@ -365,6 +390,120 @@ class TestRoundtripCommand:
         with pytest.raises(SystemExit) as exc:
             main(["roundtrip", *option])
         assert exc.value.code == 2
+
+
+# The flags of each subcommand, with the type (or the choices) each takes.
+# A RunConfig field reaches a subcommand only through this table.
+RUN_OPTIONS = {
+    "--config": str, "--seed": int, "--threads": int,
+    "--h-min": float, "--h-max": float, "--n-lin": int, "--n-log": int,
+    "--x-min": float, "--x-max": float, "--quad-n-lin": int, "--quad-n-log": int,
+    "--window-start": float, "--window-end": float,
+    "--randomize-round-us": float, "--randomize-jitter-us": float,
+    "--weighting": ("events", "sessions"),
+}
+ESTIMATION_FLAGS = {**RUN_OPTIONS, "--out": str, "--input": str,
+                    "--scheme": str, "--dimension": int, "--duration": float}
+SUBCOMMAND_FLAGS = {
+    "simulate": {"--model": str, "--horizon": float, "--scheme": str,
+                 "--out": str, "--config": str, "--seed": int},
+    "estimate": ESTIMATION_FLAGS,
+    "report": {**ESTIMATION_FLAGS, "--curves": ("diag", "all")},
+    "robustness": {**ESTIMATION_FLAGS, "--round-us": float,
+                   "--jitter-us": float, "--compare-window": float},
+    "roundtrip": {"--tolerance-scale": float, "--criteria": int},
+}
+
+
+def subcommand_flags(name: str) -> dict:
+    """Each long flag of subcommand ``name`` with its type or choices."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = {}
+    for action in sub.choices[name]._actions:
+        for flag in action.option_strings:
+            if flag != "--help" and flag.startswith("--"):
+                flags[flag] = (tuple(action.choices) if action.choices
+                               else action.type or str)
+                assert action.dest == flag[2:].replace("-", "_")
+    return flags
+
+
+class TestRunOptions:
+    @pytest.mark.parametrize("name", sorted(SUBCOMMAND_FLAGS))
+    def test_flag_set_pinned(self, name):
+        assert subcommand_flags(name) == SUBCOMMAND_FLAGS[name]
+
+    @pytest.mark.parametrize("option", [["--threads", "2"],
+                                        ["--h-max", "2.0"], ["--input", "x"]])
+    def test_simulate_rejects_options_it_ignores(self, tmp_path, model_file,
+                                                 option):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--model", str(model_file), "--horizon", "10",
+                  "--out", str(tmp_path / "o"), *option])
+        assert exc.value.code == 2
+
+    def estimate(self, tmp_path, model_file, *extra):
+        sim = run_simulate(tmp_path, model_file, horizon=200.0)
+        out = tmp_path / "est"
+        return main(["estimate", "--input", str(sim / "events.csv"),
+                     "--dimension", "1", "--out", str(out),
+                     "--h-max", "2.0", "--n-log", "50", *extra]), out
+
+    @pytest.mark.parametrize("option,name", [
+        (["--x-min", "0.6"], "x_min"), (["--x-max", "1e-4"], "x_max"),
+        (["--x-min", "0"], "x_min")])
+    def test_bad_quadrature_range_exits_2(self, tmp_path, model_file, capsys,
+                                          option, name):
+        code, out = self.estimate(tmp_path, model_file, *option)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "need 0 < x_min < x_max" in err and name in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_threads_below_one_flag_exits_2(self, tmp_path, model_file, capsys,
+                                            value):
+        code, out = self.estimate(tmp_path, model_file, "--threads", value)
+        assert code == 2
+        assert f"threads must be at least 1, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_jitter_without_rounding_flag_exits_2(self, tmp_path, model_file,
+                                                  capsys):
+        code, out = self.estimate(tmp_path, model_file,
+                                  "--randomize-jitter-us", "500", "--seed", "3")
+        assert code == 2
+        assert "randomize_jitter_us needs randomize_round_us" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config,message", [
+        ({"threads": 0}, "threads must be at least 1, got 0"),
+        ({"threads": -2}, "threads must be at least 1, got -2"),
+        ({"randomize_jitter_us": 50.0},
+         "randomize_jitter_us needs randomize_round_us")])
+    def test_config_file_checked_alike(self, tmp_path, model_file, capsys,
+                                       config, message):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config))
+        with pytest.raises(HawkesflowError, match=message):
+            RunConfig.load(cfg)
+        code, out = self.estimate(tmp_path, model_file, "--config", str(cfg))
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_jitter_with_rounding_accepted(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"randomize_round_us": 10.0}))
+        args = cli.build_parser().parse_args(
+            ["estimate", "--input", "x", "--out", "o", "--threads", "2",
+             "--randomize-jitter-us", "5"])
+        config = RunConfig.load(cfg).overlay(args)
+        assert (config.threads, config.randomize_round_us,
+                config.randomize_jitter_us) == (2, 10.0, 5.0)
 
 
 class TestDimensionGuard:

@@ -73,6 +73,28 @@ class TestQuadrature:
             assert np.all(quad.weights > 0)
             assert quad.weights.sum() == pytest.approx(quad.x_max, rel=1e-12)
 
+    def test_manifest_dict_pinned(self):
+        # kernel_manifest.json writes this dict, and the oracle writer calls
+        # the same to_dict, so only a literal catches a change of key,
+        # order or value
+        assert list(build_quadrature().to_dict().items()) == [
+            ("eps_lin", 6.25e-06), ("x_min", 0.0005),
+            ("eps_log", 0.08634694098727672), ("x_max", 0.5),
+            ("n_lin", 80), ("n_log", 80)]
+
+    def test_nodes_are_the_linlog_grid_edges(self):
+        kwargs = dict(x_min=1e-3, x_max=2.0, n_lin=13, n_log=57)
+        quad = build_quadrature(**kwargs)
+        grid = build_linlog_grid(h_min=1e-3, h_max=2.0, n_lin=13, n_log=57)
+        assert np.array_equal(quad.nodes, grid.edges)
+        assert np.array_equal(quad.weights, trapezoid_weights(grid.edges))
+        assert (quad.x_min, quad.x_max, quad.n_nodes) == (1e-3, 2.0, 71)
+
+    @pytest.mark.parametrize("x_min,x_max", [(0.6, 0.5), (0.0, 0.5), (1e-3, 1e-3)])
+    def test_bad_range_error_names_x_min_and_x_max(self, x_min, x_max):
+        with pytest.raises(ValueError, match="need 0 < x_min < x_max"):
+            build_quadrature(x_min=x_min, x_max=x_max)
+
     def test_quadrature_integrates_smooth_function(self):
         quad = build_quadrature()
         exact = 1 - math.exp(-0.5)

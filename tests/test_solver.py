@@ -433,8 +433,10 @@ class TestDerivedQuantities:
         resc = rescaled_norms(norms, [1.0, 2.0])
         assert resc[0, 1] == pytest.approx(0.2)   # (lam_2/lam_1) * 0.1
         assert resc[1, 0] == pytest.approx(0.1)   # (lam_1/lam_2) * 0.2
-        with pytest.raises(ZeroDivisionError):
-            rescaled_norms(norms, [1.0, 0.0])
+        # an event-free component's row is undefined, the other row is not
+        resc = rescaled_norms(norms, [1.0, 0.0])
+        assert np.all(np.isnan(resc[1]))
+        assert resc[0].tolist() == [0.3, 0.0]
 
     def test_positive_rates_keep_arithmetic_order(self):
         rng = np.random.default_rng(4)
@@ -474,8 +476,8 @@ class TestDerivedQuantities:
     def test_exogeneity_ratios_percent(self):
         assert exogeneity_ratios([2.0], [2.0])[0] == pytest.approx(100.0)
         assert exogeneity_ratios([1.0], [2.0])[0] == pytest.approx(50.0)
-        with pytest.raises(ZeroDivisionError):
-            exogeneity_ratios([1.0], [0.0])
+        ratios = exogeneity_ratios([1.0, 1.0], [2.0, 0.0])
+        assert ratios[0] == 50.0 and np.isnan(ratios[1])
 
     def test_closure_identity_exact(self, oracle_1d):
         est = solve_wiener_hopf(oracle_1d, build_quadrature())
