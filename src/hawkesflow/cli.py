@@ -3,12 +3,13 @@
 Grid and quadrature defaults are the standard ones (1 ms / 2e4 s lin-log
 law grid with 50+1500 bins; 0.5 ms / 0.5 s quadrature with 80+80 bins) and
 are echoed at startup so every run is self-documenting.  A saved config
-file re-executes identically: flags override the config, which overrides
-the defaults.  Each RunConfig field is declared once: its flag is the field
-name with ``-`` for ``_`` and takes the type a config file must give it.
-``estimate``, ``report`` and ``robustness`` take every field, ``simulate``
-only ``--seed`` and ``roundtrip`` none.  Exit codes: 0 success, 1
-acceptance failure, 2 usage or input error.
+file re-executes a run identically, but for the perturbation flags of
+``robustness``, which it does not hold: flags override the config, which
+overrides the defaults.  Each RunConfig field is declared once: its flag is
+the field name with ``-`` for ``_`` and takes the type a config file must
+give it.  ``estimate``, ``report`` and ``robustness`` take every field,
+``simulate`` only ``--seed`` and ``roundtrip`` none.  Exit codes: 0
+success, 1 acceptance failure, 2 usage or input error.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 
 # Only what parsing, RunConfig and ingest use is imported here; each command
 # imports the layers it runs, so no process loads another command's layers.
+from ._jsonio import checked, read_json, write_json
 from .errors import HawkesflowError, ParseError
 from .events import (
     BinningScheme,
@@ -44,8 +46,7 @@ __all__ = ["main", "RunConfig"]
 
 _WEIGHTINGS = ("events", "sessions")
 # For each RunConfig annotation but that of ``weighting``: the type of its
-# flag, what a config file may give for it and how to name that.  bool is
-# refused separately: Python counts it as an int.
+# flag, what a config file may give for it and how to name that.
 _CONFIG_TYPES = {
     "int": (int, (int,), "an integer"),
     "float": (float, (int, float), "a number"),
@@ -85,10 +86,7 @@ class RunConfig:
 
     @classmethod
     def load(cls, path) -> "RunConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise ParseError(f"{path}: config must be a JSON object")
+        data = read_json(path)
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
@@ -96,22 +94,16 @@ class RunConfig:
         for f in fields(cls):
             if f.name not in data:
                 continue
-            value = data[f.name]
-            if f.name == "weighting":
-                ok = value in _WEIGHTINGS
-                expected = f"one of {', '.join(_WEIGHTINGS)}"
-            else:
-                _, types, expected = _CONFIG_TYPES[f.type]
-                ok = isinstance(value, types) and not isinstance(value, bool)
-            if not ok:
-                raise ParseError(f"{path}: config key {f.name!r} takes {expected}, "
-                                 f"not {json.dumps(value)}")
+            name = f"{path}: config key {f.name!r}"
+            if f.name != "weighting":
+                checked(data[f.name], name, *_CONFIG_TYPES[f.type][1:])
+            elif data[f.name] not in _WEIGHTINGS:
+                raise ParseError(f"{name} must be one of {', '.join(_WEIGHTINGS)}, "
+                                 f"not {json.dumps(data[f.name])}")
         return cls(**data)
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, asdict(self), sort_keys=True)
 
     def overlay(self, args: argparse.Namespace) -> "RunConfig":
         given = {f.name: getattr(args, f.name, None) for f in fields(self)}
@@ -171,10 +163,9 @@ def _ingest(paths: list[str], scheme: BinningScheme, duration: float | None
         sidecar = Path(path).with_name("metadata.json")
         sess_duration = duration
         if sidecar.exists():
-            with open(sidecar, "r", encoding="utf-8") as fh:
-                meta = json.load(fh)
-            if sess_duration is None:
-                sess_duration = meta.get("horizon")
+            meta = read_json(sidecar)
+            if sess_duration is None and "horizon" in meta:
+                sess_duration = checked(meta["horizon"], f"{sidecar}: 'horizon'")
             recorded = meta.get("dimension")
             if recorded is not None and recorded != scheme.dimension:
                 raise HawkesflowError(
@@ -248,9 +239,7 @@ def cmd_simulate(args, config: RunConfig) -> int:
     meta.update(dimension=scheme.dimension, model_dimension=model.dimension,
                 scheme=scheme.to_dict(), events=len(events),
                 model_file=str(args.model))
-    with open(out_dir / "metadata.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out_dir / "metadata.json", meta, sort_keys=True)
     config.save(out_dir / "config.json")
     print(f"wrote {len(events)} events to {csv_path}")
     return 0
@@ -328,9 +317,8 @@ def cmd_robustness(args, config: RunConfig) -> int:
     _, base = _estimate_pipeline(stream, config)
 
     comparisons = {}
-    round_us = args.round_us if args.round_us is not None else 10.0
-    jitter_us = args.jitter_us if args.jitter_us is not None else 50.0
-    randomized = randomize_timestamps(stream, round_us, jitter_us, config.seed)
+    randomized = randomize_timestamps(stream, args.round_us, args.jitter_us,
+                                      config.seed)
     _, est_r = _estimate_pipeline(randomized, config)
     comparisons["randomized"] = est_r
 
@@ -414,8 +402,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_rt.set_defaults(func=cmd_roundtrip)
 
     p_rob = estimation("robustness", "compare estimates on perturbed inputs")
-    p_rob.add_argument("--round-us", dest="round_us", type=float)
-    p_rob.add_argument("--jitter-us", dest="jitter_us", type=float)
+    p_rob.add_argument("--round-us", dest="round_us", type=float, default=10.0,
+                       help="timestamp rounding step in us (default: %(default)s)")
+    p_rob.add_argument("--jitter-us", dest="jitter_us", type=float, default=50.0,
+                       help="timestamp jitter in us (default: %(default)s)")
     p_rob.add_argument("--compare-window", dest="compare_window", type=float,
                        nargs=2, metavar=("START", "END"))
     p_rob.set_defaults(func=cmd_robustness)

@@ -20,12 +20,12 @@ they hold.  The crossover balances the two from the session's event rate.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .._jsonio import read_json, write_json
 from .._tables import float_cells, int_cells, write_table
 from ..grids import LinLogGrid, build_linlog_grid
 from ..events.types import MultivariateEventStream, Session
@@ -270,7 +270,7 @@ def _session_pair_counts(times: tuple[np.ndarray, ...], duration: float,
 
 
 def estimate_conditional_law(stream: MultivariateEventStream,
-                             grid: LinLogGrid | None = None,
+                             grid: LinLogGrid,
                              weighting: str = "events",
                              workers: int | None = None) -> ConditionalLawMatrix:
     """Estimate the full conditional-law matrix of a stream.
@@ -282,8 +282,6 @@ def estimate_conditional_law(stream: MultivariateEventStream,
     session is always counted on a single thread, and the result does not
     depend on ``workers``.
     """
-    if grid is None:
-        grid = build_linlog_grid()
     if weighting not in ("events", "sessions"):
         raise ValueError(f"unknown weighting {weighting!r}")
     d = stream.dimension
@@ -365,16 +363,19 @@ def save_claw(claw: ConditionalLawMatrix, out_dir) -> list[Path]:
         "admissible": claw.admissible.tolist(),
     }
     mpath = out_dir / "claw_manifest.json"
-    mpath.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    write_json(mpath, manifest)
     written.append(mpath)
     return written
 
 
 def load_claw(in_dir) -> ConditionalLawMatrix:
-    in_dir = Path(in_dir)
-    with open(in_dir / "claw_manifest.json", "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    grid = build_linlog_grid(**manifest["grid"])
+    """The law ``save_claw`` wrote, on the grid of the manifest's four sizes."""
+    mpath = Path(in_dir) / "claw_manifest.json"
+    manifest = read_json(mpath)
+    recorded = manifest["grid"]
+    grid = build_linlog_grid(**{k: recorded[k] for k in ("h_min", "h_max", "n_lin", "n_log")})
+    if grid.to_dict() != recorded:
+        raise ValueError(f"{mpath}: grid {recorded} is not the grid of its sizes")
     d = manifest["dimension"]
     b = grid.n_bins
     values = np.zeros((d, d, b))
@@ -382,7 +383,7 @@ def load_claw(in_dir) -> ConditionalLawMatrix:
     pairs = np.zeros((d, d, b), dtype=np.int64)
     for i in range(d):
         for j in range(d):
-            with open(in_dir / f"claw_{i}_{j}.csv", "r", encoding="utf-8") as fh:
+            with open(mpath.with_name(f"claw_{i}_{j}.csv"), "r", encoding="utf-8") as fh:
                 rows = list(csv.reader(fh))[1:]
             values[i, j] = [float(r[2]) for r in rows]
             stderr[i, j] = [float(r[3]) for r in rows]

@@ -15,12 +15,12 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
-import json
 from pathlib import Path
 from typing import ContextManager, TextIO
 
 import numpy as np
 
+from .._jsonio import read_json, write_json
 from .._tables import int_cells, write_table
 from ..errors import ParseError
 from .types import (_FULL_BOOK_TYPE_ORDER, _SIDE_ORDER, SIDE_CODE, TYPE_CODE,
@@ -182,15 +182,11 @@ def read_snapshot_csv(source) -> list[RawRecord]:
 
 
 def load_binning_scheme(path) -> BinningScheme:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            d = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid scheme file: {exc}")
-    return BinningScheme.from_dict(d)
+    try:
+        return BinningScheme.from_dict(read_json(path))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def save_binning_scheme(scheme: BinningScheme, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scheme.to_dict(), fh, indent=2)
-        fh.write("\n")
+    write_json(path, scheme.to_dict())

@@ -12,6 +12,8 @@ from .types import (SIDE_CODE, TYPE_CODE, EventTable, EventType, FlowStatistics,
 
 __all__ = ["flow_statistics"]
 
+_MAX_LAG = 50  # longest lag of the trade-time autocorrelations
+
 
 def _duration_histogram(durations: np.ndarray, grid: LinLogGrid) -> np.ndarray:
     """Counts per grid bin; durations beyond the grid land in the last bin
@@ -25,19 +27,19 @@ def _duration_histogram(durations: np.ndarray, grid: LinLogGrid) -> np.ndarray:
     return counts
 
 
-def _autocorr(series: np.ndarray, splits: list[int], max_lag: int) -> np.ndarray:
-    """Autocorrelation up to ``max_lag``; products never straddle the
+def _autocorr(series: np.ndarray, splits: list[int]) -> np.ndarray:
+    """Autocorrelation up to ``_MAX_LAG``; products never straddle the
     session boundaries given in ``splits`` (cumulative lengths)."""
     if len(series) == 0:
-        return np.zeros(max_lag + 1)
+        return np.zeros(_MAX_LAG + 1)
     x = series.astype(float) - series.mean()
     denom = float(np.sum(x * x))
-    out = np.zeros(max_lag + 1)
+    out = np.zeros(_MAX_LAG + 1)
     out[0] = 1.0 if denom > 0 else 0.0
     if denom <= 0:
         return out
     bounds = [0] + list(splits)
-    for k in range(1, max_lag + 1):
+    for k in range(1, _MAX_LAG + 1):
         num = 0.0
         for a, b in zip(bounds[:-1], bounds[1:]):
             seg = x[a:b]
@@ -48,15 +50,15 @@ def _autocorr(series: np.ndarray, splits: list[int], max_lag: int) -> np.ndarray
 
 
 def flow_statistics(stream: MultivariateEventStream,
-                    events_by_session: list[EventTable] | None = None,
-                    max_lag: int = 50) -> FlowStatistics:
+                    events_by_session: list[EventTable] | None = None) -> FlowStatistics:
     """Compute the stream's descriptive statistics.
 
     Duration histograms use a lin-log grid from 1 ms to the longest
     duration (at least 1 s), 50 linear and 300 log bins.
-    Volume histogram and trade-time autocorrelations need the original
-    order events and are filled only when ``events_by_session`` is given
-    (one event table per session, trades are extracted from it).
+    Volume histogram and trade-time autocorrelations (lags up to 50) need
+    the original order events and are filled only when
+    ``events_by_session`` is given (one event table per session, trades are
+    extracted from it).
     """
     if stream.total_time <= 0 or not stream.sessions:
         raise ValueError("empty stream")
@@ -100,8 +102,8 @@ def flow_statistics(stream: MultivariateEventStream,
         vols = np.concatenate([t.volume for t in trades] + none)
         keys, counts = np.unique(np.where(buy, vols, -vols), return_counts=True)
         volume_histogram = dict(zip(keys.tolist(), counts.tolist()))
-        sign_ac = _autocorr(np.where(buy, 1.0, -1.0), splits, max_lag)
-        vol_ac = _autocorr(vols.astype(float), splits, max_lag)
+        sign_ac = _autocorr(np.where(buy, 1.0, -1.0), splits)
+        vol_ac = _autocorr(vols.astype(float), splits)
 
     return FlowStatistics(
         mean_intensity=lam,

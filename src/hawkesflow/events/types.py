@@ -7,6 +7,8 @@ from enum import Enum
 
 import numpy as np
 
+from .._jsonio import checked
+
 __all__ = [
     "Side",
     "EventType",
@@ -229,10 +231,11 @@ class BinningScheme:
     def from_dict(cls, d: dict) -> "BinningScheme":
         try:
             mode = BinningMode(d["mode"])
-            edges = tuple(int(e) for e in d["edges"])
+            edges = checked(d["edges"], "edges", list, "a list")
         except (KeyError, ValueError, TypeError) as exc:
             raise ValueError(f"invalid binning scheme config: {exc}") from exc
-        return cls(mode, edges)
+        return cls(mode, tuple(checked(e, f"edges[{k}]", int, "an integer")
+                               for k, e in enumerate(edges)))
 
     @classmethod
     def canonical(cls, dimension: int) -> "BinningScheme":

@@ -5,7 +5,8 @@ two-regime layout: uniformly spaced edges near zero (where the short-lag
 structure lives) followed by log-spaced edges out to the maximum lag.  One
 builder makes that layout, a ``LinLogGrid`` of bin edges; a
 ``QuadratureGrid`` is such a grid whose edges are the nodes, plus their
-trapezoid weights for integration over ``[0, x_max]``.
+trapezoid weights for integration over ``[0, x_max]``.  A grid is fixed by
+its four sizes; ``to_dict()`` records its two steps, derived from them.
 """
 
 from __future__ import annotations
@@ -76,46 +77,26 @@ class LinLogGrid:
         }
 
 
-def build_linlog_grid(delta_lin: float | None = None,
-                      h_min: float = CLAW_GRID_DEFAULTS["h_min"],
-                      delta_log: float | None = None,
+def build_linlog_grid(*, h_min: float = CLAW_GRID_DEFAULTS["h_min"],
                       h_max: float = CLAW_GRID_DEFAULTS["h_max"],
                       n_lin: int = CLAW_GRID_DEFAULTS["n_lin"],
                       n_log: int = CLAW_GRID_DEFAULTS["n_log"]) -> LinLogGrid:
     """Build a lag-histogram grid with edges ``[0, delta_lin, ..., h_min,
-    h_min * exp(delta_log), ..., h_max]``.
-
-    When ``delta_lin``/``delta_log`` are omitted they are derived so that the
-    linear part spans ``[0, h_min]`` in ``n_lin`` bins and the log part spans
-    ``[h_min, h_max]`` in ``n_log`` bins.
-    """
-    if h_min <= 0 or h_max <= h_min:
+    h_min * exp(delta_log), ..., h_max]`` from its four sizes: the linear
+    part spans ``[0, h_min]`` in ``n_lin`` bins, the log part
+    ``[h_min, h_max]`` in ``n_log`` bins."""
+    if not 0 < h_min < h_max:
         raise ValueError(f"need 0 < h_min < h_max, got {h_min}, {h_max}")
     if n_lin < 1 or n_log < 1:
         raise ValueError("bin counts must be at least 1")
-    if delta_lin is None:
-        delta_lin = h_min / n_lin
-    if delta_log is None:
-        delta_log = math.log(h_max / h_min) / n_log
-    if delta_lin <= 0:
-        raise ValueError("linear step must be positive")
-    if not (n_lin * delta_lin <= h_min * (1 + 1e-12)):
-        raise ValueError(
-            f"linear part overruns the breakpoint: "
-            f"{n_lin} * {delta_lin} > {h_min}")
-    if delta_log <= 0:
-        raise ValueError("log step must be positive")
+    delta_lin = h_min / n_lin
+    delta_log = math.log(h_max / h_min) / n_log
     lin = np.arange(n_lin + 1, dtype=float) * delta_lin
-    # Snap the end of the linear ramp onto the breakpoint when they agree,
-    # and bridge with an extra edge when the caller left a gap.
-    if math.isclose(lin[-1], h_min, rel_tol=1e-9):
-        lin[-1] = h_min
-    else:
-        lin = np.append(lin, h_min)
+    lin[-1] = h_min
     log = h_min * np.exp(delta_log * np.arange(1, n_log + 1))
-    if math.isclose(log[-1], h_max, rel_tol=1e-9):
-        log[-1] = h_max
+    log[-1] = h_max
     edges = np.concatenate([lin, log])
+    # fails for an h_max / h_min so close to 1 that two edges round equal
     if np.any(np.diff(edges) <= 0):
         raise ValueError("grid edges are not strictly increasing")
     return LinLogGrid(delta_lin, h_min, delta_log, h_max, n_lin, n_log, edges)
@@ -161,16 +142,14 @@ def trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
     return w
 
 
-def build_quadrature(eps_lin: float | None = None,
-                     x_min: float = QUADRATURE_DEFAULTS["x_min"],
-                     eps_log: float | None = None,
+def build_quadrature(*, x_min: float = QUADRATURE_DEFAULTS["x_min"],
                      x_max: float = QUADRATURE_DEFAULTS["x_max"],
                      n_lin: int = QUADRATURE_DEFAULTS["n_lin"],
                      n_log: int = QUADRATURE_DEFAULTS["n_log"]) -> QuadratureGrid:
-    """Build a quadrature grid on the edges of
-    ``build_linlog_grid(eps_lin, x_min, eps_log, x_max, n_lin, n_log)``."""
+    """Build a quadrature grid on the edges of the lin-log grid of these
+    four sizes, ``x_min`` and ``x_max`` in the place of h_min and h_max."""
     # checked here too, so that the error names this function's arguments
-    if x_min <= 0 or x_max <= x_min:
+    if not 0 < x_min < x_max:
         raise ValueError(f"need 0 < x_min < x_max, got {x_min}, {x_max}")
-    grid = build_linlog_grid(eps_lin, x_min, eps_log, x_max, n_lin, n_log)
+    grid = build_linlog_grid(h_min=x_min, h_max=x_max, n_lin=n_lin, n_log=n_log)
     return QuadratureGrid(grid, trapezoid_weights(grid.edges))

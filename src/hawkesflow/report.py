@@ -10,12 +10,12 @@ downstream.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from ._jsonio import write_json
 from ._tables import float_cells, int_cells, text_cells, write_matrix_csv, write_table
 from .estimate.claw import ConditionalLawMatrix, write_law_curves
 from .events.types import BinningScheme, FlowStatistics
@@ -55,9 +55,7 @@ def write_manifest(out_dir, files, metadata: dict) -> Path:
         entries.append({"file": p.name, "sha256": digest})
     manifest = {"metadata": metadata, "files": entries}
     path = out_dir / "report_manifest.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, manifest, sort_keys=True)
     return path
 
 

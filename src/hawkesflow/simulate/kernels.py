@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .._jsonio import checked, numbers
+
 __all__ = [
     "KernelSpec",
     "ZeroKernel",
@@ -234,28 +236,37 @@ class TabulatedKernel(KernelSpec):
                 "values": [float(x) for x in self.values]}
 
 
-def _positive_norm_by_quadrature(kernel: KernelSpec, n: int = 20001) -> float:
+_POSITIVE_NORM_NODES = 20001
+
+
+def _positive_norm_by_quadrature(kernel: KernelSpec) -> float:
     end = kernel.support(1e-10)
     if end <= 0:
         return 0.0
-    t = np.linspace(0.0, end, n)
+    t = np.linspace(0.0, end, _POSITIVE_NORM_NODES)
     return float(np.trapezoid(np.maximum(kernel.value(t), 0.0), t))
+
+
+def _number(d: dict, key: str) -> float:
+    return float(checked(d[key], key))
 
 
 _KERNEL_TYPES = {
     "zero": lambda d: ZeroKernel(),
-    "exponential": lambda d: ExponentialKernel(float(d["alpha"]), float(d["beta"])),
-    "sum_of_exponentials": lambda d: SumOfExponentialsKernel(
-        tuple((float(a), float(b)) for a, b in d["terms"])),
-    "power_law": lambda d: PowerLawKernel(float(d["c"]), float(d["gamma"]),
-                                          float(d["t0"])),
-    "tabulated": lambda d: TabulatedKernel(tuple(float(x) for x in d["grid"]),
-                                           tuple(float(x) for x in d["values"])),
+    "exponential": lambda d: ExponentialKernel(_number(d, "alpha"), _number(d, "beta")),
+    "sum_of_exponentials": lambda d: SumOfExponentialsKernel(tuple(
+        numbers(t, f"terms[{k}]")
+        for k, t in enumerate(checked(d["terms"], "terms", list, "a list")))),
+    "power_law": lambda d: PowerLawKernel(_number(d, "c"), _number(d, "gamma"),
+                                          _number(d, "t0")),
+    "tabulated": lambda d: TabulatedKernel(numbers(d["grid"], "grid"),
+                                           numbers(d["values"], "values")),
 }
 
 
 def kernel_from_dict(d: dict) -> KernelSpec:
-    if d.get("type") not in _KERNEL_TYPES:
+    # a tuple: a type that is not a string may not be hashable
+    if not isinstance(d, dict) or d.get("type") not in tuple(_KERNEL_TYPES):
         raise ValueError(f"unknown kernel spec: {d!r}")
     try:
         return _KERNEL_TYPES[d["type"]](d)

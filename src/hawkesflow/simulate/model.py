@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from .._jsonio import checked, numbers, read_json, write_json
 from ..errors import StabilityError
 from .kernels import (
     KernelSpec,
@@ -62,7 +63,6 @@ class HawkesModel:
     mark_values: np.ndarray | None = None
     mark_probs: np.ndarray | None = None
     baseline_total: float | None = None
-    meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         d = self.dimension
@@ -92,16 +92,14 @@ class HawkesModel:
                 raise ValueError("mark function must be nonnegative")
 
     @classmethod
-    def linear(cls, baseline, kernels, flavor=ModelFlavor.LINEAR,
-               meta: dict | None = None) -> "HawkesModel":
+    def linear(cls, baseline, kernels, flavor=ModelFlavor.LINEAR) -> "HawkesModel":
         baseline = np.asarray(baseline, dtype=float)
         rows = tuple(tuple(row) for row in kernels)
-        return cls(len(baseline), baseline, rows, ModelFlavor(flavor),
-                   meta=meta or {})
+        return cls(len(baseline), baseline, rows, ModelFlavor(flavor))
 
     @classmethod
     def factorized(cls, baseline_total: float, base_kernel: KernelSpec,
-                   mark_values, mark_probs, meta: dict | None = None) -> "HawkesModel":
+                   mark_values, mark_probs) -> "HawkesModel":
         f = np.asarray(mark_values, dtype=float)
         p = np.asarray(mark_probs, dtype=float)
         d = len(p)
@@ -113,7 +111,7 @@ class HawkesModel:
         )
         return cls(d, p * baseline_total, rows, ModelFlavor.FACTORIZED,
                    base_kernel=base_kernel, mark_values=f, mark_probs=p,
-                   baseline_total=float(baseline_total), meta=meta or {})
+                   baseline_total=float(baseline_total))
 
     def norm_matrix(self) -> np.ndarray:
         return np.array([[k.norm() for k in row] for row in self.kernels])
@@ -150,21 +148,34 @@ class HawkesModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "HawkesModel":
+        """The model a JSON object describes; a value of the wrong type or
+        shape raises ``ValueError`` naming its entry."""
         flavor = ModelFlavor(d.get("flavor", "linear"))
         try:
             if flavor is ModelFlavor.FACTORIZED:
                 return cls.factorized(
-                    float(d["baseline_total"]),
-                    kernel_from_dict(d["base_kernel"]),
-                    d["mark_values"], d["mark_probs"])
-            kernels = [[kernel_from_dict(k) for k in row] for row in d["kernels"]]
-            return cls.linear(d["baseline"], kernels, flavor)
+                    float(checked(d["baseline_total"], "baseline_total")),
+                    _kernel(d["base_kernel"], "base_kernel"),
+                    numbers(d["mark_values"], "mark_values"),
+                    numbers(d["mark_probs"], "mark_probs"))
+            rows = checked(d["kernels"], "kernels", list, "a list")
+            kernels = [[_kernel(k, f"kernels[{i}][{j}]")
+                        for j, k in enumerate(checked(row, f"kernels[{i}]", list, "a list"))]
+                       for i, row in enumerate(rows)]
+            return cls.linear(numbers(d["baseline"], "baseline"), kernels, flavor)
         except KeyError as exc:
             raise ValueError(f"{flavor.value} model spec lacks key {exc}") from exc
 
     def content_hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def _kernel(spec, name: str) -> KernelSpec:
+    try:
+        return kernel_from_dict(spec)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from exc
 
 
 def _scaled_kernel(kernel: KernelSpec, factor: float) -> KernelSpec:
@@ -195,11 +206,8 @@ def mean_intensity(model: HawkesModel) -> np.ndarray:
 
 
 def load_model(path) -> HawkesModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return HawkesModel.from_dict(json.load(fh))
+    return HawkesModel.from_dict(read_json(path))
 
 
 def save_model(model: HawkesModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model.to_dict(), fh, indent=2)
-        fh.write("\n")
+    write_json(path, model.to_dict())

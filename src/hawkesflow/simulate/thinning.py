@@ -44,23 +44,24 @@ __all__ = ["simulate"]
 
 KERNEL_TRUNCATION_EPS = 1e-8
 BURN_IN_CAP = 1000.0
+_RNG_BLOCK = 1 << 15
 
 
 class _BlockRng:
     """Counter-based generator handing out Python floats from cached blocks.
 
-    ``exponential()`` and ``uniform()`` each draw a block of ``block``
+    ``exponential()`` and ``uniform()`` each draw a block of ``_RNG_BLOCK``
     values from the shared Philox stream when their previous block runs out.
     """
 
-    def __init__(self, seed: int, block: int = 1 << 15):
+    def __init__(self, seed: int):
         gen = np.random.Generator(np.random.Philox(seed))
-        self.exponential = _draws(gen.standard_exponential, block)
-        self.uniform = _draws(gen.random, block)
+        self.exponential = _draws(gen.standard_exponential)
+        self.uniform = _draws(gen.random)
 
 
-def _draws(draw, block: int):
-    floats = chain.from_iterable(iter(lambda: draw(block).tolist(), None))
+def _draws(draw):
+    floats = chain.from_iterable(iter(lambda: draw(_RNG_BLOCK).tolist(), None))
     return partial(next, floats)
 
 

@@ -37,16 +37,16 @@ whole and inverted again with LAPACK's pivoted inverse.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .._jsonio import write_json
 from .._tables import float_cells, text_cells, write_matrix_csv, write_table
 from ..errors import SolverError
 from ..estimate.claw import ConditionalLawMatrix
-from ..grids import QuadratureGrid, build_quadrature
+from ..grids import QuadratureGrid
 
 __all__ = [
     "KernelEstimate",
@@ -254,7 +254,7 @@ def _invert(claw: ConditionalLawMatrix, quad: QuadratureGrid, b: np.ndarray):
 
 
 def solve_wiener_hopf(claw: ConditionalLawMatrix,
-                      quad: QuadratureGrid | None = None,
+                      quad: QuadratureGrid,
                       compute_stderr: bool = True) -> KernelEstimate:
     """Solve for the kernel matrix on the quadrature grid.
 
@@ -264,8 +264,6 @@ def solve_wiener_hopf(claw: ConditionalLawMatrix,
     system).  The system matrix is inverted whether or not standard errors
     are asked for: ``compute_stderr=False`` skips only their propagation.
     """
-    if quad is None:
-        quad = build_quadrature()
     if quad.x_max > claw.grid.h_max * (1 + 1e-12):
         raise ValueError(
             f"quadrature reach {quad.x_max} exceeds conditional-law range "
@@ -321,8 +319,7 @@ class NegativityReport:
 
 
 def verify_negativity_propagation(claw: ConditionalLawMatrix,
-                                  quad: QuadratureGrid | None = None,
-                                  ) -> NegativityReport:
+                                  quad: QuadratureGrid) -> NegativityReport:
     """Check that negative conditional laws force negative kernel values.
 
     The hypothesis requires every column (or every row) of the law matrix to
@@ -331,8 +328,6 @@ def verify_negativity_propagation(claw: ConditionalLawMatrix,
     negative node value; a violation raises, as it would contradict the
     propagation property of the Wiener-Hopf solution.
     """
-    if quad is None:
-        quad = build_quadrature()
     d = claw.dimension
     in_reach = claw.grid.edges[:-1] < quad.x_max
     neg = np.zeros((d, d), dtype=bool)
@@ -398,6 +393,6 @@ def save_kernel_estimate(est: KernelEstimate, out_dir,
         "meta": est.meta,
     }
     mpath = out_dir / "kernel_manifest.json"
-    mpath.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    write_json(mpath, manifest)
     written.append(mpath)
     return written

@@ -17,7 +17,9 @@ writers of laws, kernels and reports are the byte-level reference for the
 column-formatted table writer.  The former per-event CSV parser, with its
 row objects, is the reference for the error messages and line numbers of
 the table parser, the former per-event aggregation for the table's, and
-the former tie-nudging loop for its running-maximum form.
+the former tie-nudging loop for its running-maximum form.  The former
+lin-log grid builder, which also took explicit steps, is the bit-level
+reference for the builder that derives them from the four sizes.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import scipy.linalg as sla
 from scipy.signal import fftconvolve
 
 from hawkesflow.errors import ParseError
-from hawkesflow.estimate import ConditionalLawMatrix
+from hawkesflow.estimate import ConditionalLawMatrix, LinLogGrid
 from hawkesflow.events import EventType, FlowStatistics, Side
 from hawkesflow.events.io import EVENT_HEADER, _check_header
 from hawkesflow.events.types import _FULL_BOOK_TYPE_ORDER, _SIDE_ORDER
@@ -101,7 +103,7 @@ def bin_average(t: np.ndarray, y: np.ndarray, left: float, right: float,
 
 def claw_matrix_from_samples(grid, t: np.ndarray, g: np.ndarray, lam):
     """Package sampled laws into a ConditionalLawMatrix on ``grid``."""
-    from hawkesflow.estimate import ConditionalLawMatrix
+    from hawkesflow.estimate import ConditionalLawMatrix, LinLogGrid
 
     d = len(lam)
     b = grid.n_bins
@@ -923,3 +925,45 @@ def aggregate_simultaneous(events: list[OrderEvent]) -> list[OrderEvent]:
                 order.append(key)
         out.extend(merged[k] for k in order)
     return out
+
+
+# The former lin-log grid builder, verbatim but for its name and its
+# defaults written out: it took explicit steps, checked them and bridged a
+# gap below the breakpoint.
+
+def build_linlog_grid_with_steps(delta_lin: float | None = None,
+                                 h_min: float = 1e-3,
+                                 delta_log: float | None = None,
+                                 h_max: float = 2e4,
+                                 n_lin: int = 50,
+                                 n_log: int = 1500) -> LinLogGrid:
+    if h_min <= 0 or h_max <= h_min:
+        raise ValueError(f"need 0 < h_min < h_max, got {h_min}, {h_max}")
+    if n_lin < 1 or n_log < 1:
+        raise ValueError("bin counts must be at least 1")
+    if delta_lin is None:
+        delta_lin = h_min / n_lin
+    if delta_log is None:
+        delta_log = math.log(h_max / h_min) / n_log
+    if delta_lin <= 0:
+        raise ValueError("linear step must be positive")
+    if not (n_lin * delta_lin <= h_min * (1 + 1e-12)):
+        raise ValueError(
+            f"linear part overruns the breakpoint: "
+            f"{n_lin} * {delta_lin} > {h_min}")
+    if delta_log <= 0:
+        raise ValueError("log step must be positive")
+    lin = np.arange(n_lin + 1, dtype=float) * delta_lin
+    # Snap the end of the linear ramp onto the breakpoint when they agree,
+    # and bridge with an extra edge when the caller left a gap.
+    if math.isclose(lin[-1], h_min, rel_tol=1e-9):
+        lin[-1] = h_min
+    else:
+        lin = np.append(lin, h_min)
+    log = h_min * np.exp(delta_log * np.arange(1, n_log + 1))
+    if math.isclose(log[-1], h_max, rel_tol=1e-9):
+        log[-1] = h_max
+    edges = np.concatenate([lin, log])
+    if np.any(np.diff(edges) <= 0):
+        raise ValueError("grid edges are not strictly increasing")
+    return LinLogGrid(delta_lin, h_min, delta_log, h_max, n_lin, n_log, edges)

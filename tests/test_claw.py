@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -295,3 +297,24 @@ class TestSerialization:
         assert np.array_equal(claw.admissible, again.admissible)
         assert np.array_equal(claw.lam, again.lam)
         assert claw.total_time == again.total_time
+
+    @pytest.mark.parametrize("sizes", [{}, {"h_max": 5.0, "n_log": 300}],
+                             ids=["default", "book12"])
+    def test_grid_rebuilt_from_its_sizes(self, tmp_path, sizes):
+        grid = build_linlog_grid(**sizes)
+        claw = estimate_conditional_law(stream_of([[0.5, 1.0, 3.0]], 10.0), grid)
+        save_claw(claw, tmp_path)
+        again = load_claw(tmp_path).grid
+        assert again.edges.tobytes() == grid.edges.tobytes()
+        assert list(again.to_dict().items()) == list(grid.to_dict().items())
+
+    def test_edited_step_refused(self, tmp_path):
+        grid = build_linlog_grid(h_min=1e-2, h_max=1.0, n_lin=5, n_log=20)
+        save_claw(estimate_conditional_law(stream_of([[0.5, 0.6]], 2.0), grid),
+                  tmp_path)
+        path = tmp_path / "claw_manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["grid"]["delta_log"] *= 1.01
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="claw_manifest.json: grid"):
+            load_claw(tmp_path)

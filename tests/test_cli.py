@@ -138,6 +138,33 @@ class TestSimulateCommand:
         assert "lacks key " + key in err
         assert "unknown kernel spec" not in err
 
+    @pytest.mark.parametrize("text,message", [
+        pytest.param('{"flavor": "linear", "baseline": [1.0], "kernels": [[{"type":'
+                     ' "exponential", "alpha": null, "beta": 10.0}]]}',
+                     "kernels[0][0]: alpha must be a number, not null",
+                     id="null_alpha"),
+        pytest.param('{"flavor": "linear", "baseline": [1.0], "kernels": 5}',
+                     "kernels must be a list, not 5", id="scalar_kernels"),
+        pytest.param('[1, 2]', "the document must be a JSON object",
+                     id="top_level_list"),
+        pytest.param('{"flavor": "linear", "baseline": [1.0], "kernels": [[{"type":'
+                     ' "exponential", "alpha": true, "beta": 10.0}]]}',
+                     "kernels[0][0]: alpha must be a number, not true",
+                     id="bool_alpha"),
+        pytest.param('{"flavor": "linear", "baseline": ["1.0"], "kernels": '
+                     '[[{"type": "zero"}]]}',
+                     'baseline[0] must be a number, not "1.0"',
+                     id="string_baseline"),
+    ])
+    def test_malformed_model_file_exits_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        code = main(["simulate", "--model", str(path), "--horizon", "10",
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestEventsFromStream:
     # steps of 0.3 us put up to four events on one rounded microsecond
@@ -316,6 +343,15 @@ class TestReportCommand:
 
 
 class TestRobustnessCommand:
+    def test_perturbation_defaults_shown_in_help(self, capsys):
+        args = cli.build_parser().parse_args(
+            ["robustness", "--input", "x", "--out", "o"])
+        assert (args.round_us, args.jitter_us) == (10.0, 50.0)
+        with pytest.raises(SystemExit):
+            main(["robustness", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "(default: 10.0)" in help_text and "(default: 50.0)" in help_text
+
     def test_zero_jitter_identity(self, tmp_path, model_file, capsys):
         sim = run_simulate(tmp_path, model_file, horizon=5000.0)
         out = tmp_path / "rob"
@@ -566,6 +602,80 @@ class TestDurationGuard:
         assert main(self.estimate_args(sim, tmp_path)) == 2
         assert ("session duration must be finite and positive, got inf"
                 in capsys.readouterr().err)
+
+
+class TestJsonInputs:
+    """Every JSON input goes through one reader: a syntax error names the
+    file, and a value of the wrong type exits 2 naming the file and key."""
+
+    def estimate(self, sim, tmp_path, *extra):
+        return main(["estimate", "--input", str(sim / "events.csv"),
+                     "--dimension", "1", "--out", str(tmp_path / "est"),
+                     "--h-max", "2.0", "--n-log", "50", *extra])
+
+    def test_config_syntax_error_names_file(self, tmp_path, model_file, capsys):
+        sim = run_simulate(tmp_path, model_file, horizon=200.0)
+        cfg = tmp_path / "bad.json"
+        cfg.write_text("{h_max: 2}")
+        capsys.readouterr()
+        assert self.estimate(sim, tmp_path, "--config", str(cfg)) == 2
+        err = capsys.readouterr().err
+        assert f"error: {cfg}: invalid JSON: Expecting property name" in err
+
+    def test_model_syntax_error_names_file(self, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text('{"flavor": "linear",}')
+        code = main(["simulate", "--model", str(path), "--horizon", "10",
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"{path}: invalid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ['{"horizon": 200.0', '[200.0]'])
+    def test_malformed_sidecar_names_file(self, tmp_path, model_file, capsys,
+                                          text):
+        sim = run_simulate(tmp_path, model_file, horizon=200.0)
+        (sim / "metadata.json").write_text(text)
+        capsys.readouterr()
+        assert self.estimate(sim, tmp_path) == 2
+        assert str(sim / "metadata.json") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("horizon", ["50", [50], True, None])
+    def test_sidecar_horizon_not_a_number_exits_2(self, tmp_path, model_file,
+                                                  capsys, horizon):
+        sim = run_simulate(tmp_path, model_file, horizon=200.0)
+        meta = json.loads((sim / "metadata.json").read_text())
+        meta["horizon"] = horizon
+        (sim / "metadata.json").write_text(json.dumps(meta))
+        capsys.readouterr()
+        assert self.estimate(sim, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert (f"{sim / 'metadata.json'}: 'horizon' must be a number, "
+                f"not {json.dumps(horizon)}") in err
+        assert not (tmp_path / "est").exists()
+
+    def test_sidecar_without_horizon_falls_back(self, tmp_path, model_file):
+        sim = run_simulate(tmp_path, model_file, horizon=200.0)
+        meta = json.loads((sim / "metadata.json").read_text())
+        del meta["horizon"]
+        (sim / "metadata.json").write_text(json.dumps(meta))
+        assert self.estimate(sim, tmp_path) == 0
+
+    @pytest.mark.parametrize("edges,message", [
+        ([1.5], "edges[0] must be an integer, not 1.5"),
+        ([1, "2"], 'edges[1] must be an integer, not "2"'),
+        ([True], "edges[0] must be an integer, not true"),
+        (3, "invalid binning scheme config: edges must be a list, not 3")])
+    def test_scheme_edge_not_an_integer_exits_2(self, tmp_path, model_file,
+                                                capsys, edges, message):
+        sim = run_simulate(tmp_path, model_file, horizon=200.0)
+        scheme = tmp_path / "scheme.json"
+        scheme.write_text(json.dumps({"mode": "unsigned_trades", "edges": edges}))
+        capsys.readouterr()
+        code = main(["estimate", "--input", str(sim / "events.csv"),
+                     "--scheme", str(scheme), "--out", str(tmp_path / "est"),
+                     "--h-max", "2.0", "--n-log", "50"])
+        assert code == 2
+        assert f"{scheme}: {message}" in capsys.readouterr().err
 
 
 def modules_after(code: str) -> list[str]:

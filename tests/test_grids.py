@@ -1,9 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from hawkesflow.grids import build_linlog_grid, build_quadrature, trapezoid_weights
+from oracles import build_linlog_grid_with_steps
 
 
 class TestLinLogGrid:
@@ -20,8 +23,8 @@ class TestLinLogGrid:
         assert np.allclose(ratios, math.exp(grid.delta_log), rtol=1e-9)
 
     def test_small_explicit_grid(self):
-        grid = build_linlog_grid(delta_lin=0.5, h_min=1.0, delta_log=1.0,
-                                 h_max=math.e ** 2, n_lin=2, n_log=2)
+        grid = build_linlog_grid(h_min=1.0, h_max=math.e ** 2, n_lin=2, n_log=2)
+        assert (grid.delta_lin, grid.delta_log) == (0.5, 1.0)
         expected = [0.0, 0.5, 1.0, math.e, math.e ** 2]
         assert np.allclose(grid.edges, expected, rtol=1e-12)
 
@@ -34,10 +37,19 @@ class TestLinLogGrid:
             build_linlog_grid(h_min=10.0, h_max=10.0)
         with pytest.raises(ValueError):
             build_linlog_grid(h_min=20.0, h_max=10.0)
-        with pytest.raises(ValueError):
-            build_linlog_grid(delta_lin=1.0, h_min=1.0, n_lin=5, h_max=10.0)
-        with pytest.raises(ValueError):
-            build_linlog_grid(delta_lin=-0.1, h_min=1.0, h_max=10.0)
+
+    @pytest.mark.parametrize("h_min,h_max", [(math.nan, 1.0), (1e-3, math.nan)])
+    def test_nan_range_raises(self, h_min, h_max):
+        with pytest.raises(ValueError, match="need 0 < h_min < h_max"):
+            build_linlog_grid(h_min=h_min, h_max=h_max)
+
+    def test_sizes_are_keyword_only(self):
+        # a call in the former order, a step first, must not bind the step
+        # to h_min
+        with pytest.raises(TypeError):
+            build_linlog_grid(0.5, 1.0)
+        with pytest.raises(TypeError):
+            build_quadrature(6.25e-6, 5e-4)
 
     def test_bin_index_respects_left_open_convention(self):
         grid = build_linlog_grid(h_min=1.0, h_max=math.e ** 2, n_lin=2, n_log=2)
@@ -51,8 +63,55 @@ class TestLinLogGrid:
 
     def test_roundtrip_through_dict(self):
         grid = build_linlog_grid(h_min=2e-3, h_max=40.0, n_lin=10, n_log=20)
-        again = build_linlog_grid(**grid.to_dict())
+        sizes = {k: grid.to_dict()[k] for k in ("h_min", "h_max", "n_lin", "n_log")}
+        again = build_linlog_grid(**sizes)
         assert np.array_equal(grid.edges, again.edges)
+        assert again.to_dict() == grid.to_dict()
+
+
+# the program's grids: the default law grid, the benchmark's book12 grid,
+# the acceptance suite's grids and the default quadrature
+PROGRAM_GRIDS = [(1e-3, 2e4, 50, 1500), (1e-3, 5.0, 50, 300),
+                 (1e-3, 10.0, 50, 300), (1e-3, 5.0, 50, 250),
+                 (0.5e-3, 0.5, 80, 80)]
+
+
+def with_program_grids(test):
+    for h_min, h_max, n_lin, n_log in PROGRAM_GRIDS:
+        test = example(h_min=h_min, h_max=h_max, n_lin=n_lin, n_log=n_log)(test)
+    return test
+
+
+def assert_as_former_builder(h_min, h_max, n_lin, n_log):
+    sizes = dict(h_min=h_min, h_max=h_max, n_lin=n_lin, n_log=n_log)
+    try:
+        expected = build_linlog_grid_with_steps(**sizes)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            build_linlog_grid(**sizes)
+        return
+    grid = build_linlog_grid(**sizes)
+    assert grid.edges.tobytes() == expected.edges.tobytes()
+    assert list(grid.to_dict().items()) == list(expected.to_dict().items())
+
+
+class TestFormerBuilder:
+    """The grid of the four sizes is, bit for bit, the one the former
+    builder made when it derived its steps, and it raises where that one
+    raised."""
+
+    @with_program_grids
+    @given(h_min=st.floats(1e-9, 1e3),
+           h_max=st.floats(1e-9, 1e3) | st.floats(1e-9, 40.0).map(math.exp),
+           n_lin=st.integers(1, 500), n_log=st.integers(1, 3000))
+    def test_edges_and_dict_bit_identical(self, h_min, h_max, n_lin, n_log):
+        assert_as_former_builder(h_min, h_max, n_lin, n_log)
+
+    # ratios so close to 1 that edges round equal
+    @given(h_min=st.floats(1e-9, 1e3), ratio=st.floats(1.0, 1.0 + 1e-9),
+           n_log=st.integers(1, 3000))
+    def test_ratio_near_one(self, h_min, ratio, n_log):
+        assert_as_former_builder(h_min, h_min * ratio, 50, n_log)
 
 
 class TestQuadrature:
