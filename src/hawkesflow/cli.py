@@ -166,8 +166,9 @@ def _ingest(paths: list[str], scheme: BinningScheme, duration: float | None
             meta = read_json(sidecar)
             if sess_duration is None and "horizon" in meta:
                 sess_duration = checked(meta["horizon"], f"{sidecar}: 'horizon'")
-            recorded = meta.get("dimension")
-            if recorded is not None and recorded != scheme.dimension:
+            recorded = checked(meta.get("dimension", scheme.dimension),
+                               f"{sidecar}: 'dimension'", int, "an integer")
+            if recorded != scheme.dimension:
                 raise HawkesflowError(
                     f"{path}: data was written for dimension {recorded}, "
                     f"scheme has dimension {scheme.dimension}")

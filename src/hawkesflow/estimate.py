@@ -25,12 +25,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .._jsonio import read_json, write_json
-from .._tables import float_cells, int_cells, write_table
-from ..grids import LinLogGrid, build_linlog_grid
-from ..events.types import MultivariateEventStream, Session
+from ._jsonio import read_json, write_json
+from ._tables import float_cells, int_cells, write_table
+from .grids import LinLogGrid, build_linlog_grid
+from .events.types import MultivariateEventStream, Session
 
 __all__ = [
+    "LinLogGrid",
+    "build_linlog_grid",
     "ConditionalLawMatrix",
     "estimate_mean_intensity",
     "estimate_conditional_law",

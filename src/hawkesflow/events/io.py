@@ -1,13 +1,9 @@
-"""CSV ingestion and serialization for event data.
+"""Event CSV ingestion and serialization, and binning scheme files.
 
-Two normalized formats are supported:
-
-* event CSV, one typed order event per line:
-  ``timestamp_us,etype,side,volume[,price]`` with etype in {L,C,T} and
-  side in {a,b};
-* snapshot CSV, the raw material for order reconstruction:
-  ``timestamp_us,kind,bid_price,bid_size,ask_price,ask_size,trade_price,
-  trade_volume,trade_side`` with kind in {Q,T} and unused fields empty.
+An event CSV holds one typed order event per line:
+``timestamp_us,etype,side,volume[,price]`` with etype in {L,C,T} and side
+in {a,b}.  The text helpers here also read the level-I snapshot CSV of
+:mod:`.reconstruct`.
 """
 
 from __future__ import annotations
@@ -24,23 +20,17 @@ from .._jsonio import read_json, write_json
 from .._tables import int_cells, write_table
 from ..errors import ParseError
 from .types import (_FULL_BOOK_TYPE_ORDER, _SIDE_ORDER, SIDE_CODE, TYPE_CODE,
-                    BinningScheme, EventTable, EventType, RawRecord, RecordKind, Side)
+                    BinningScheme, EventTable, EventType, Side)
 
 __all__ = [
     "read_event_csv",
     "write_event_csv",
-    "read_snapshot_csv",
     "load_binning_scheme",
     "save_binning_scheme",
     "EVENT_HEADER",
-    "SNAPSHOT_HEADER",
 ]
 
 EVENT_HEADER = ["timestamp_us", "etype", "side", "volume", "price"]
-SNAPSHOT_HEADER = [
-    "timestamp_us", "kind", "bid_price", "bid_size", "ask_price", "ask_size",
-    "trade_price", "trade_volume", "trade_side",
-]
 
 
 def _open_text(source) -> ContextManager[TextIO]:
@@ -132,53 +122,6 @@ def write_event_csv(table: EventTable, path) -> None:
     write_table(path, EVENT_HEADER, [
         int_cells(table.ts_us), _letters(_FULL_BOOK_TYPE_ORDER, table.etype),
         _letters(_SIDE_ORDER, table.side), int_cells(table.volume), prices])
-
-
-def read_snapshot_csv(source) -> list[RawRecord]:
-    """Parse a snapshot CSV into RawRecords, enforcing timestamp order."""
-    with _open_text(source) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        _check_header(header, SNAPSHOT_HEADER)
-        records: list[RawRecord] = []
-        prev_ts = None
-        for line_no, parts in enumerate(reader, start=2):
-            if not parts:
-                continue
-            if len(parts) != len(SNAPSHOT_HEADER):
-                raise ParseError(
-                    f"expected {len(SNAPSHOT_HEADER)} fields, got {len(parts)}",
-                    line_no)
-            row = dict(zip(SNAPSHOT_HEADER, parts))
-            ts = _int_field(row["timestamp_us"], "timestamp_us", line_no)
-            if prev_ts is not None and ts < prev_ts:
-                raise ParseError(
-                    f"decreasing timestamp {ts} after {prev_ts}", line_no)
-            prev_ts = ts
-            kind_raw = row["kind"].strip()
-            try:
-                kind = RecordKind(kind_raw)
-            except ValueError:
-                raise ParseError(f"unknown record kind {kind_raw!r}", line_no)
-            if kind is RecordKind.QUOTE_SNAPSHOT:
-                rec = RawRecord(ts, kind, **{
-                    key: _int_field(row[key], key, line_no)
-                    for key in ("bid_price", "bid_size", "ask_price", "ask_size")})
-            else:
-                side_raw = row["trade_side"].strip()
-                try:
-                    side = Side(side_raw)
-                except ValueError:
-                    raise ParseError(f"unknown trade side {side_raw!r}", line_no)
-                rec = RawRecord(ts, kind, trade_side=side, **{
-                    key: _int_field(row[key], key, line_no)
-                    for key in ("trade_price", "trade_volume")})
-            try:
-                rec.validate()
-            except ValueError as exc:
-                raise ParseError(str(exc), line_no)
-            records.append(rec)
-        return records
 
 
 def load_binning_scheme(path) -> BinningScheme:

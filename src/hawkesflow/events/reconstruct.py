@@ -1,4 +1,10 @@
-"""Order reconstruction from level-I snapshot records.
+"""Level-I snapshot records and order reconstruction from them.
+
+A snapshot CSV holds one level-I record per line:
+``timestamp_us,kind,bid_price,bid_size,ask_price,ask_size,trade_price,
+trade_volume,trade_side`` with kind in {Q,T} and unused fields empty.  A
+quote snapshot (Q) fills the four quote fields, a trade record (T) the
+three trade fields.
 
 Each best-quote transition is classified side by side:
 
@@ -16,21 +22,124 @@ Valid trade records always become trade events with their recorded volume.
 
 from __future__ import annotations
 
+import csv
 import logging
 from dataclasses import dataclass, field, replace
+from enum import Enum
 from itertools import groupby
 
 import numpy as np
 
-from .types import EventTable, EventType, RawRecord, RecordKind, Side
+from ..errors import ParseError
+from .io import _check_header, _int_field, _open_text
+from .types import EventTable, EventType, Side
 
 __all__ = [
+    "RecordKind",
+    "RawRecord",
+    "SNAPSHOT_HEADER",
+    "read_snapshot_csv",
     "ReconstructionDiagnostics",
     "reconstruct_orders",
     "aggregate_simultaneous",
 ]
 
 logger = logging.getLogger(__name__)
+
+SNAPSHOT_HEADER = [
+    "timestamp_us", "kind", "bid_price", "bid_size", "ask_price", "ask_size",
+    "trade_price", "trade_volume", "trade_side",
+]
+
+
+class RecordKind(str, Enum):
+    QUOTE_SNAPSHOT = "Q"
+    TRADE = "T"
+
+
+@dataclass(frozen=True)
+class RawRecord:
+    """One line of normalized level-I market data.
+
+    Quote snapshots carry the best quotes on both sides; trade records carry
+    the executed price, volume and the side of the book that was hit.
+    Timestamps are integer microseconds since the session start.
+    """
+
+    timestamp_us: int
+    kind: RecordKind
+    bid_price: int | None = None
+    bid_size: int | None = None
+    ask_price: int | None = None
+    ask_size: int | None = None
+    trade_price: int | None = None
+    trade_volume: int | None = None
+    trade_side: Side | None = None
+
+    def validate(self) -> None:
+        if self.timestamp_us < 0:
+            raise ValueError("negative timestamp")
+        if self.kind is RecordKind.QUOTE_SNAPSHOT:
+            for name in ("bid_price", "bid_size", "ask_price", "ask_size"):
+                v = getattr(self, name)
+                if v is None or v <= 0:
+                    raise ValueError(f"nonpositive {name}")
+            if self.bid_price >= self.ask_price:
+                raise ValueError("crossed quotes: bid_price >= ask_price")
+        else:
+            if self.trade_volume is None or self.trade_volume <= 0:
+                raise ValueError("nonpositive volume")
+            if self.trade_price is None or self.trade_price <= 0:
+                raise ValueError("nonpositive trade_price")
+            if self.trade_side is None:
+                raise ValueError("missing trade side")
+
+
+def read_snapshot_csv(source) -> list[RawRecord]:
+    """Parse a snapshot CSV into RawRecords, enforcing timestamp order."""
+    with _open_text(source) as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        _check_header(header, SNAPSHOT_HEADER)
+        records: list[RawRecord] = []
+        prev_ts = None
+        for line_no, parts in enumerate(reader, start=2):
+            if not parts:
+                continue
+            if len(parts) != len(SNAPSHOT_HEADER):
+                raise ParseError(
+                    f"expected {len(SNAPSHOT_HEADER)} fields, got {len(parts)}",
+                    line_no)
+            row = dict(zip(SNAPSHOT_HEADER, parts))
+            ts = _int_field(row["timestamp_us"], "timestamp_us", line_no)
+            if prev_ts is not None and ts < prev_ts:
+                raise ParseError(
+                    f"decreasing timestamp {ts} after {prev_ts}", line_no)
+            prev_ts = ts
+            kind_raw = row["kind"].strip()
+            try:
+                kind = RecordKind(kind_raw)
+            except ValueError:
+                raise ParseError(f"unknown record kind {kind_raw!r}", line_no)
+            if kind is RecordKind.QUOTE_SNAPSHOT:
+                rec = RawRecord(ts, kind, **{
+                    key: _int_field(row[key], key, line_no)
+                    for key in ("bid_price", "bid_size", "ask_price", "ask_size")})
+            else:
+                side_raw = row["trade_side"].strip()
+                try:
+                    side = Side(side_raw)
+                except ValueError:
+                    raise ParseError(f"unknown trade side {side_raw!r}", line_no)
+                rec = RawRecord(ts, kind, trade_side=side, **{
+                    key: _int_field(row[key], key, line_no)
+                    for key in ("trade_price", "trade_volume")})
+            try:
+                rec.validate()
+            except ValueError as exc:
+                raise ParseError(str(exc), line_no)
+            records.append(rec)
+        return records
 
 
 @dataclass

@@ -4,27 +4,44 @@ signed volume distribution, trade-time autocorrelations, mean intensities.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from ..grids import LinLogGrid, build_linlog_grid
-from .types import (SIDE_CODE, TYPE_CODE, EventTable, EventType, FlowStatistics,
+from .types import (SIDE_CODE, TYPE_CODE, EventTable, EventType,
                     MultivariateEventStream, Side)
 
-__all__ = ["flow_statistics"]
+__all__ = ["FlowStatistics", "flow_statistics"]
 
 _MAX_LAG = 50  # longest lag of the trade-time autocorrelations
+
+
+@dataclass(frozen=True)
+class FlowStatistics:
+    """Descriptive statistics of an event stream.
+
+    Duration histograms are raw bin counts on ``duration_edges``; volume
+    histogram maps signed volume (buy positive, sell negative) to count;
+    autocorrelations are in trade time, index = lag.
+    """
+
+    mean_intensity: np.ndarray
+    event_counts: np.ndarray             # per component
+    duration_edges: np.ndarray
+    duration_counts: np.ndarray          # (D, n_bins)
+    pooled_duration_counts: np.ndarray   # (n_bins,)
+    n_durations: np.ndarray              # per component
+    volume_histogram: dict[int, int] | None = None
+    sign_autocorr: np.ndarray | None = None
+    volume_autocorr: np.ndarray | None = None
 
 
 def _duration_histogram(durations: np.ndarray, grid: LinLogGrid) -> np.ndarray:
     """Counts per grid bin; durations beyond the grid land in the last bin
     so that histogram mass always equals the number of durations."""
-    counts = np.zeros(grid.n_bins, dtype=np.int64)
-    if len(durations) == 0:
-        return counts
     idx = grid.bin_index(np.minimum(durations, grid.edges[-1]))
-    idx = np.clip(idx, 0, grid.n_bins - 1)
-    np.add.at(counts, idx, 1)
-    return counts
+    return np.bincount(np.clip(idx, 0, grid.n_bins - 1), minlength=grid.n_bins)
 
 
 def _autocorr(series: np.ndarray, splits: list[int]) -> np.ndarray:
@@ -63,27 +80,19 @@ def flow_statistics(stream: MultivariateEventStream,
     if stream.total_time <= 0 or not stream.sessions:
         raise ValueError("empty stream")
 
-    per_comp = [[] for _ in range(stream.dimension)]
-    pooled = []
-    for sess in stream.sessions:
-        merged = np.sort(np.concatenate([t for t in sess.times])) \
-            if any(len(t) for t in sess.times) else np.empty(0)
-        if len(merged) > 1:
-            pooled.append(np.diff(merged))
-        for i, t in enumerate(sess.times):
-            if len(t) > 1:
-                per_comp[i].append(np.diff(t))
-    per_comp = [np.concatenate(d) if d else np.empty(0) for d in per_comp]
-    pooled = np.concatenate(pooled) if pooled else np.empty(0)
+    per_comp = [np.concatenate([np.diff(s.times[i]) for s in stream.sessions])
+                for i in range(stream.dimension)]
+    # the empty array keeps concatenate defined for D = 0
+    pooled = np.concatenate([np.diff(np.sort(np.concatenate((*s.times, np.empty(0)))))
+                             for s in stream.sessions])
 
     longest = max((float(d.max()) for d in per_comp + [pooled] if len(d)),
                   default=1.0)
     duration_grid = build_linlog_grid(
         h_min=1e-3, h_max=max(1.0, longest * (1 + 1e-9)), n_lin=50, n_log=300)
 
-    duration_counts = np.stack([
-        _duration_histogram(d, duration_grid) for d in per_comp
-    ]) if stream.dimension else np.zeros((0, duration_grid.n_bins), dtype=np.int64)
+    histograms = [_duration_histogram(d, duration_grid) for d in per_comp]
+    duration_counts = np.array(histograms, np.int64).reshape(-1, duration_grid.n_bins)
     pooled_counts = _duration_histogram(pooled, duration_grid)
     n_durations = np.array([len(d) for d in per_comp])
 

@@ -12,14 +12,11 @@ from .._jsonio import checked
 __all__ = [
     "Side",
     "EventType",
-    "RecordKind",
-    "RawRecord",
     "EventTable",
     "BinningMode",
     "BinningScheme",
     "Session",
     "MultivariateEventStream",
-    "FlowStatistics",
 ]
 
 MICROSECOND = 1e-6  # seconds per microsecond
@@ -34,49 +31,6 @@ class EventType(str, Enum):
     LIMIT = "L"
     CANCEL = "C"
     TRADE = "T"
-
-
-class RecordKind(str, Enum):
-    QUOTE_SNAPSHOT = "Q"
-    TRADE = "T"
-
-
-@dataclass(frozen=True)
-class RawRecord:
-    """One line of normalized level-I market data.
-
-    Quote snapshots carry the best quotes on both sides; trade records carry
-    the executed price, volume and the side of the book that was hit.
-    Timestamps are integer microseconds since the session start.
-    """
-
-    timestamp_us: int
-    kind: RecordKind
-    bid_price: int | None = None
-    bid_size: int | None = None
-    ask_price: int | None = None
-    ask_size: int | None = None
-    trade_price: int | None = None
-    trade_volume: int | None = None
-    trade_side: Side | None = None
-
-    def validate(self) -> None:
-        if self.timestamp_us < 0:
-            raise ValueError("negative timestamp")
-        if self.kind is RecordKind.QUOTE_SNAPSHOT:
-            for name in ("bid_price", "bid_size", "ask_price", "ask_size"):
-                v = getattr(self, name)
-                if v is None or v <= 0:
-                    raise ValueError(f"nonpositive {name}")
-            if self.bid_price >= self.ask_price:
-                raise ValueError("crossed quotes: bid_price >= ask_price")
-        else:
-            if self.trade_volume is None or self.trade_volume <= 0:
-                raise ValueError("nonpositive volume")
-            if self.trade_price is None or self.trade_price <= 0:
-                raise ValueError("nonpositive trade_price")
-            if self.trade_side is None:
-                raise ValueError("missing trade side")
 
 
 class BinningMode(str, Enum):
@@ -263,8 +217,9 @@ class Session:
     meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError("session duration must be positive")
+        if not 0 < self.duration < np.inf:
+            raise ValueError(
+                f"session duration must be finite and positive, got {self.duration}")
         for i, t in enumerate(self.times):
             if len(t) == 0:
                 continue
@@ -302,23 +257,3 @@ class MultivariateEventStream:
         for s in self.sessions:
             out += s.counts
         return out
-
-
-@dataclass(frozen=True)
-class FlowStatistics:
-    """Descriptive statistics of an event stream.
-
-    Duration histograms are raw bin counts on ``duration_edges``; volume
-    histogram maps signed volume (buy positive, sell negative) to count;
-    autocorrelations are in trade time, index = lag.
-    """
-
-    mean_intensity: np.ndarray
-    event_counts: np.ndarray             # per component
-    duration_edges: np.ndarray
-    duration_counts: np.ndarray          # (D, n_bins)
-    pooled_duration_counts: np.ndarray   # (n_bins,)
-    n_durations: np.ndarray              # per component
-    volume_histogram: dict[int, int] | None = None
-    sign_autocorr: np.ndarray | None = None
-    volume_autocorr: np.ndarray | None = None

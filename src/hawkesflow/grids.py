@@ -87,6 +87,8 @@ def build_linlog_grid(*, h_min: float = CLAW_GRID_DEFAULTS["h_min"],
     ``[h_min, h_max]`` in ``n_log`` bins."""
     if not 0 < h_min < h_max:
         raise ValueError(f"need 0 < h_min < h_max, got {h_min}, {h_max}")
+    if not math.isfinite(h_max):
+        raise ValueError(f"h_max must be finite, got {h_max}")
     if n_lin < 1 or n_log < 1:
         raise ValueError("bin counts must be at least 1")
     delta_lin = h_min / n_lin
@@ -151,5 +153,7 @@ def build_quadrature(*, x_min: float = QUADRATURE_DEFAULTS["x_min"],
     # checked here too, so that the error names this function's arguments
     if not 0 < x_min < x_max:
         raise ValueError(f"need 0 < x_min < x_max, got {x_min}, {x_max}")
+    if not math.isfinite(x_max):
+        raise ValueError(f"x_max must be finite, got {x_max}")
     grid = build_linlog_grid(h_min=x_min, h_max=x_max, n_lin=n_lin, n_log=n_log)
     return QuadratureGrid(grid, trapezoid_weights(grid.edges))

@@ -17,9 +17,10 @@ import numpy as np
 
 from ._jsonio import write_json
 from ._tables import float_cells, int_cells, text_cells, write_matrix_csv, write_table
-from .estimate.claw import ConditionalLawMatrix, write_law_curves
-from .events.types import BinningScheme, FlowStatistics
-from .whsolve.solver import KernelEstimate, write_norm_tables
+from .estimate import ConditionalLawMatrix, write_law_curves
+from .events.stats import FlowStatistics
+from .events.types import BinningScheme
+from .whsolve import KernelEstimate, write_norm_tables
 
 __all__ = [
     "ReportBundle",

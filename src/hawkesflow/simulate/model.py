@@ -149,22 +149,30 @@ class HawkesModel:
     @classmethod
     def from_dict(cls, d: dict) -> "HawkesModel":
         """The model a JSON object describes; a value of the wrong type or
-        shape raises ``ValueError`` naming its entry."""
+        shape, or a ``dimension`` other than the model's, raises
+        ``ValueError`` naming its entry."""
         flavor = ModelFlavor(d.get("flavor", "linear"))
         try:
             if flavor is ModelFlavor.FACTORIZED:
-                return cls.factorized(
+                model = cls.factorized(
                     float(checked(d["baseline_total"], "baseline_total")),
                     _kernel(d["base_kernel"], "base_kernel"),
                     numbers(d["mark_values"], "mark_values"),
                     numbers(d["mark_probs"], "mark_probs"))
-            rows = checked(d["kernels"], "kernels", list, "a list")
-            kernels = [[_kernel(k, f"kernels[{i}][{j}]")
-                        for j, k in enumerate(checked(row, f"kernels[{i}]", list, "a list"))]
-                       for i, row in enumerate(rows)]
-            return cls.linear(numbers(d["baseline"], "baseline"), kernels, flavor)
+            else:
+                rows = checked(d["kernels"], "kernels", list, "a list")
+                kernels = [[_kernel(k, f"kernels[{i}][{j}]") for j, k in
+                            enumerate(checked(row, f"kernels[{i}]", list, "a list"))]
+                           for i, row in enumerate(rows)]
+                model = cls.linear(numbers(d["baseline"], "baseline"), kernels, flavor)
         except KeyError as exc:
             raise ValueError(f"{flavor.value} model spec lacks key {exc}") from exc
+        dimension = checked(d.get("dimension", model.dimension), "dimension",
+                            int, "an integer")
+        if dimension != model.dimension:
+            raise ValueError(f"dimension is {dimension}, but the model has "
+                             f"{model.dimension} components")
+        return model
 
     def content_hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()

@@ -42,13 +42,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .._jsonio import write_json
-from .._tables import float_cells, text_cells, write_matrix_csv, write_table
-from ..errors import SolverError
-from ..estimate.claw import ConditionalLawMatrix
-from ..grids import QuadratureGrid
+from ._jsonio import write_json
+from ._tables import float_cells, text_cells, write_matrix_csv, write_table
+from .errors import SolverError
+from .estimate import ConditionalLawMatrix
+from .grids import QuadratureGrid, build_quadrature
 
 __all__ = [
+    "QuadratureGrid",
+    "build_quadrature",
     "KernelEstimate",
     "solve_wiener_hopf",
     "rescaled_norms",

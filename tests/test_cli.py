@@ -1,4 +1,6 @@
 import argparse
+import ast
+import importlib.util
 import inspect
 import json
 import os
@@ -159,6 +161,29 @@ class TestSimulateCommand:
     def test_malformed_model_file_exits_2(self, tmp_path, capsys, text, message):
         path = tmp_path / "model.json"
         path.write_text(text)
+        code = main(["simulate", "--model", str(path), "--horizon", "10",
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("model,message", [
+        pytest.param({"dimension": 3, "flavor": "linear", "baseline": [1.0],
+                      "kernels": [[{"type": "zero"}]]},
+                     "dimension is 3, but the model has 1 components", id="linear"),
+        pytest.param({"dimension": 1, "flavor": "factorized", "baseline_total": 1.0,
+                      "base_kernel": {"type": "exponential", "alpha": 0.3, "beta": 8.0},
+                      "mark_values": [1.0, 2.0], "mark_probs": [0.5, 0.5]},
+                     "dimension is 1, but the model has 2 components",
+                     id="factorized"),
+        pytest.param({"dimension": "1", "flavor": "linear", "baseline": [1.0],
+                      "kernels": [[{"type": "zero"}]]},
+                     'dimension must be an integer, not "1"', id="string"),
+    ])
+    def test_model_file_dimension_mismatch_exits_2(self, tmp_path, capsys, model,
+                                                   message):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
         code = main(["simulate", "--model", str(path), "--horizon", "10",
                      "--out", str(tmp_path / "o")])
         assert code == 2
@@ -498,6 +523,16 @@ class TestRunOptions:
         assert "need 0 < x_min < x_max" in err and name in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("option,message", [
+        (["--h-max", "inf"], "h_max must be finite, got inf"),
+        (["--x-max", "inf"], "x_max must be finite, got inf")])
+    def test_infinite_grid_reach_exits_2(self, tmp_path, model_file, capsys,
+                                         option, message):
+        code, out = self.estimate(tmp_path, model_file, *option)
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_threads_below_one_flag_exits_2(self, tmp_path, model_file, capsys,
                                             value):
@@ -653,6 +688,36 @@ class TestJsonInputs:
                 f"not {json.dumps(horizon)}") in err
         assert not (tmp_path / "est").exists()
 
+    @pytest.mark.parametrize("dimension", [True, "1", 1.0, None])
+    def test_sidecar_dimension_not_an_integer_exits_2(self, tmp_path, model_file,
+                                                      capsys, dimension):
+        sim = run_simulate(tmp_path, model_file, horizon=200.0)
+        meta = json.loads((sim / "metadata.json").read_text())
+        meta["dimension"] = dimension
+        (sim / "metadata.json").write_text(json.dumps(meta))
+        capsys.readouterr()
+        assert self.estimate(sim, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert (f"{sim / 'metadata.json'}: 'dimension' must be an integer, "
+                f"not {json.dumps(dimension)}") in err
+        assert not (tmp_path / "est").exists()
+
+    def test_sidecar_dimension_mismatch_message(self, tmp_path, model_file,
+                                                capsys):
+        sim = run_simulate(tmp_path, model_file, horizon=200.0)
+        capsys.readouterr()
+        assert main(["estimate", "--input", str(sim / "events.csv"),
+                     "--dimension", "2", "--out", str(tmp_path / "est")]) == 2
+        assert (f"{sim / 'events.csv'}: data was written for dimension 1, "
+                "scheme has dimension 2") in capsys.readouterr().err
+
+    def test_sidecar_without_dimension_loads(self, tmp_path, model_file):
+        sim = run_simulate(tmp_path, model_file, horizon=200.0)
+        meta = json.loads((sim / "metadata.json").read_text())
+        del meta["dimension"]
+        (sim / "metadata.json").write_text(json.dumps(meta))
+        assert self.estimate(sim, tmp_path) == 0
+
     def test_sidecar_without_horizon_falls_back(self, tmp_path, model_file):
         sim = run_simulate(tmp_path, model_file, horizon=200.0)
         meta = json.loads((sim / "metadata.json").read_text())
@@ -715,6 +780,26 @@ class TestColdStart:
                       + ["concurrent.futures"]) == []
         assert "numpy" in modules
 
+    def test_parser_loads_no_level1_records_or_flow_statistics(self):
+        # the level-I record layer sits whole in events.reconstruct and the
+        # flow statistics in events.stats, so parsing compiles neither
+        names = {"RawRecord", "RecordKind", "SNAPSHOT_HEADER",
+                 "read_snapshot_csv", "FlowStatistics"}
+        modules = loaded(modules_after("import hawkesflow.cli as c; c.build_parser()"),
+                         ["hawkesflow"])
+        defined = {}
+        for module in modules:
+            path = Path(importlib.util.find_spec(module).origin)
+            body = ast.parse(path.read_text(encoding="utf-8")).body
+            # the classes, functions and names assigned at module level
+            top = {getattr(node, "name", None) for node in body} | {
+                target.id for node in body for target in getattr(node, "targets", [])
+                if isinstance(target, ast.Name)}
+            if top & names:
+                defined[module] = sorted(top & names)
+        assert len(modules) > 5
+        assert defined == {}
+
     def test_simulate_loads_no_estimation_layers(self, tmp_path, model_file):
         argv = ["simulate", "--model", str(model_file), "--horizon", "50",
                 "--out", str(tmp_path / "sim")]
@@ -730,6 +815,6 @@ class TestColdStart:
                 "--dimension", "1", "--out", str(tmp_path / "est")]
         modules = modules_after(
             f"from hawkesflow.cli import main; assert main({argv!r}) == 0")
-        assert "hawkesflow.whsolve.solver" in modules
+        assert "hawkesflow.whsolve" in modules
         assert loaded(modules, layers("simulate", "report", "acceptance")
                       + ["concurrent.futures"]) == []

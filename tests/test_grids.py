@@ -43,6 +43,10 @@ class TestLinLogGrid:
         with pytest.raises(ValueError, match="need 0 < h_min < h_max"):
             build_linlog_grid(h_min=h_min, h_max=h_max)
 
+    def test_infinite_h_max_raises(self):
+        with pytest.raises(ValueError, match="h_max must be finite, got inf"):
+            build_linlog_grid(h_min=1e-3, h_max=math.inf)
+
     def test_sizes_are_keyword_only(self):
         # a call in the former order, a step first, must not bind the step
         # to h_min
@@ -153,6 +157,10 @@ class TestQuadrature:
     def test_bad_range_error_names_x_min_and_x_max(self, x_min, x_max):
         with pytest.raises(ValueError, match="need 0 < x_min < x_max"):
             build_quadrature(x_min=x_min, x_max=x_max)
+
+    def test_infinite_x_max_error_names_x_max(self):
+        with pytest.raises(ValueError, match="x_max must be finite, got inf"):
+            build_quadrature(x_min=1e-3, x_max=math.inf)
 
     def test_quadrature_integrates_smooth_function(self):
         quad = build_quadrature()

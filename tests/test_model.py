@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -337,6 +338,34 @@ class TestNonFiniteBaseline:
         with pytest.raises(ValueError, match="baseline rates must be finite"):
             HawkesModel.factorized(total, ExponentialKernel(0.3, 8.0),
                                    [1.0, 2.0], [0.5, 0.5])
+
+
+class TestModelFileDimension:
+    """A model file's ``dimension`` must be an integer equal to the number
+    of components its baseline and kernels give; a file without it loads."""
+
+    @pytest.mark.parametrize("name", ["exponential", "factorized"])
+    def test_mismatch_rejected(self, name):
+        spec = dict(PINNED_MODELS[name][2])
+        d = spec["dimension"]
+        spec["dimension"] = d + 2
+        with pytest.raises(ValueError, match=f"dimension is {d + 2}, but the "
+                                             f"model has {d} components"):
+            HawkesModel.from_dict(spec)
+
+    @pytest.mark.parametrize("name", ["exponential", "factorized"])
+    @pytest.mark.parametrize("value", ["1", True, 1.0, None])
+    def test_not_an_integer_rejected(self, name, value):
+        spec = dict(PINNED_MODELS[name][2], dimension=value)
+        with pytest.raises(ValueError, match="dimension must be an integer, "
+                                             f"not {re.escape(json.dumps(value))}"):
+            HawkesModel.from_dict(spec)
+
+    @pytest.mark.parametrize("name", ["exponential", "factorized"])
+    def test_missing_key_loads(self, name):
+        build, _, spec = PINNED_MODELS[name]
+        spec = {k: v for k, v in spec.items() if k != "dimension"}
+        assert HawkesModel.from_dict(spec).to_dict() == build().to_dict()
 
 
 class TestNonFiniteKernelParameters:

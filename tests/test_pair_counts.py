@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import event, given, strategies as st
 
-from hawkesflow.estimate import build_linlog_grid, claw, estimate_conditional_law
+from hawkesflow import estimate as claw
+from hawkesflow.estimate import build_linlog_grid, estimate_conditional_law
 from hawkesflow.events import MultivariateEventStream, Session
 from hawkesflow.events.types import MICROSECOND
 from oracles import brute_force_pair_counts, session_pair_counts

@@ -22,8 +22,8 @@ from hawkesflow.whsolve import (
     solve_wiener_hopf,
     verify_negativity_propagation,
 )
-from hawkesflow.whsolve import solver
-from hawkesflow.whsolve.solver import (
+from hawkesflow import whsolve as solver
+from hawkesflow.whsolve import (
     _BLOCK_LEAF,
     _at_nodes,
     _block_inverse,
@@ -251,7 +251,7 @@ class TestSolve:
                                                    monkeypatch):
         # every law the solver reads has the symmetric form, so the block
         # pass is made to fail its residual check instead
-        monkeypatch.setattr("hawkesflow.whsolve.solver._BLOCK_RESIDUAL_LIMIT",
+        monkeypatch.setattr("hawkesflow.whsolve._BLOCK_RESIDUAL_LIMIT",
                             -1.0)
         claw = event_free_3d
         quad = build_quadrature()

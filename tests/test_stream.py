@@ -206,6 +206,14 @@ class TestBoundaryTies:
             assign_components(events, BinningScheme.canonical(1), duration=duration)
 
 
+class TestSession:
+    @pytest.mark.parametrize("duration", [np.inf, np.nan, 0.0, -5.0])
+    def test_duration_not_finite_and_positive_rejected(self, duration):
+        with pytest.raises(ValueError, match="session duration must be finite "
+                                             f"and positive, got {duration}"):
+            Session("s", duration, (np.array([1.0, 2.0, 3.5]),))
+
+
 class TestStrictlyIncreasing:
     # sorted nonnegative times drawn from a few values, so that ties and
     # runs of ties are common; 0.0, -0.0, the smallest subnormal and 1e300
