@@ -3,8 +3,7 @@
 Grid and quadrature defaults are the standard ones (1 ms / 2e4 s lin-log
 law grid with 50+1500 bins; 0.5 ms / 0.5 s quadrature with 80+80 bins) and
 are echoed at startup so every run is self-documenting.  A saved config
-file re-executes a run identically, but for the perturbation flags of
-``robustness``, which it does not hold: flags override the config, which
+file re-executes a run identically: flags override the config, which
 overrides the defaults.  Each RunConfig field is declared once: its flag is
 the field name with ``-`` for ``_`` and takes the type a config file must
 give it.  ``estimate``, ``report`` and ``robustness`` take every field,
@@ -190,9 +189,15 @@ def _resolve_scheme(args) -> BinningScheme:
                           "components")
 
 
-def _prepare_stream(args, config: RunConfig):
+def _prepare_stream(args):
     scheme = _resolve_scheme(args)
     stream, events = _ingest(args.input, scheme, getattr(args, "duration", None))
+    return scheme, stream, events
+
+
+def _perturbed(stream: MultivariateEventStream, config: RunConfig
+               ) -> MultivariateEventStream:
+    """The stream cut to the config's window, then randomized as it says."""
     if config.window_start is not None or config.window_end is not None:
         start = config.window_start or 0.0
         end = config.window_end
@@ -203,7 +208,7 @@ def _prepare_stream(args, config: RunConfig):
         stream = randomize_timestamps(stream, config.randomize_round_us,
                                       config.randomize_jitter_us or 0.0,
                                       config.seed)
-    return scheme, stream, events
+    return stream
 
 
 def _estimate_pipeline(stream: MultivariateEventStream, config: RunConfig):
@@ -250,8 +255,8 @@ def cmd_estimate(args, config: RunConfig) -> int:
     from .estimate import save_claw
     from .whsolve import save_kernel_estimate
 
-    scheme, stream, _ = _prepare_stream(args, config)
-    claw, est = _estimate_pipeline(stream, config)
+    scheme, stream, _ = _prepare_stream(args)
+    claw, est = _estimate_pipeline(_perturbed(stream, config), config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_claw(claw, out_dir / "claw")
@@ -272,7 +277,8 @@ def cmd_report(args, config: RunConfig) -> int:
     from . import report as report_mod
     from .events import flow_statistics
 
-    scheme, stream, events = _prepare_stream(args, config)
+    scheme, stream, events = _prepare_stream(args)
+    stream = _perturbed(stream, config)
     claw, est = _estimate_pipeline(stream, config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -311,26 +317,28 @@ def cmd_roundtrip(args) -> int:
 def cmd_robustness(args, config: RunConfig) -> int:
     from ._tables import write_matrix_csv
 
-    scheme, stream, _ = _prepare_stream(args, config)
+    perturbations = {}
+    if config.randomize_round_us is not None:
+        perturbations["randomized"] = replace(config, window_start=None,
+                                              window_end=None)
+    if config.window_start is not None or config.window_end is not None:
+        perturbations["windowed"] = replace(config, randomize_round_us=None,
+                                            randomize_jitter_us=None)
+    if not perturbations:
+        raise HawkesflowError(
+            "robustness needs a perturbation: set --randomize-round-us, "
+            "--window-start or --window-end")
+    scheme, stream, _ = _prepare_stream(args)
+    # perturb first: a window or rounding step that does not fit writes nothing
+    perturbed = {name: _perturbed(stream, c) for name, c in perturbations.items()}
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     labels = scheme.labels()
     _, base = _estimate_pipeline(stream, config)
 
-    comparisons = {}
-    randomized = randomize_timestamps(stream, args.round_us, args.jitter_us,
-                                      config.seed)
-    _, est_r = _estimate_pipeline(randomized, config)
-    comparisons["randomized"] = est_r
-
-    if args.compare_window:
-        start, end = args.compare_window
-        windowed = filter_session(stream, start, end)
-        _, est_w = _estimate_pipeline(windowed, config)
-        comparisons["windowed"] = est_w
-
     lines = []
-    for name, est in comparisons.items():
+    for name, p_stream in perturbed.items():
+        _, est = _estimate_pipeline(p_stream, config)
         with np.errstate(divide="ignore", invalid="ignore"):
             rel = (base.rescaled - est.rescaled) / base.rescaled
         path = out_dir / f"rescaled_norm_reldiff_{name}.csv"
@@ -403,12 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rt.set_defaults(func=cmd_roundtrip)
 
     p_rob = estimation("robustness", "compare estimates on perturbed inputs")
-    p_rob.add_argument("--round-us", dest="round_us", type=float, default=10.0,
-                       help="timestamp rounding step in us (default: %(default)s)")
-    p_rob.add_argument("--jitter-us", dest="jitter_us", type=float, default=50.0,
-                       help="timestamp jitter in us (default: %(default)s)")
-    p_rob.add_argument("--compare-window", dest="compare_window", type=float,
-                       nargs=2, metavar=("START", "END"))
     p_rob.set_defaults(func=cmd_robustness)
     return parser
 

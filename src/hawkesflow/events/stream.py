@@ -27,29 +27,21 @@ __all__ = [
 TIE_STEP_US = 2.0 ** -10
 
 
-def _strictly_increasing(t: np.ndarray) -> np.ndarray:
-    """Nudge any residual ties up by one ulp so the array is strict.
+def _strict_within(t: np.ndarray, cap: float) -> np.ndarray:
+    """Project sorted nonnegative times onto a strictly increasing array
+    that ends at or below ``cap``.
 
-    For sorted nonnegative finite ``t``, ``nextafter(x, inf)`` is the int64
-    bit pattern of ``x`` plus one, so the nudges are one running maximum.
-    Adding 0.0 first folds -0.0, whose pattern is negative, into 0.0."""
+    For such floats the next float up or down is the int64 bit pattern plus
+    or minus one, so a forward running maximum nudges ties up by one ulp
+    each, and a backward running minimum pulls values above ``cap`` down in
+    strict order.  Adding 0.0 folds -0.0, whose pattern is negative, into
+    0.0; the first value keeps its own pattern unless it is capped."""
     k = np.arange(len(t))
     bits = np.maximum.accumulate((t + 0.0).view(np.int64) - k) + k
-    t[1:] = bits[1:].view(np.float64)
-    return t
-
-
-def _cap_strict(t: np.ndarray, cap: float) -> np.ndarray:
-    """Pull values above ``cap`` back down while keeping strict order."""
-    if len(t) == 0 or t[-1] <= cap:
-        return t
-    t[-1] = cap
-    for k in range(len(t) - 2, -1, -1):
-        if t[k] >= t[k + 1]:
-            t[k] = np.nextafter(t[k + 1], -np.inf)
-        else:
-            break
-    return t
+    bits = np.minimum(bits, np.float64(cap).view(np.int64)) - k
+    out = (np.minimum.accumulate(bits[::-1])[::-1] + k).view(np.float64)
+    np.copyto(out[:1], t[:1], where=out[:1] == t[:1])
+    return out
 
 
 def _to_seconds(ts_us: np.ndarray) -> np.ndarray:
@@ -60,10 +52,7 @@ def _to_seconds(ts_us: np.ndarray) -> np.ndarray:
         new_run = np.concatenate([[True], np.diff(t) != 0])
         run_start = np.maximum.accumulate(np.where(new_run, np.arange(len(t)), 0))
         t = t + (np.arange(len(t)) - run_start) * TIE_STEP_US
-    sec = t * MICROSECOND
-    if len(sec) > 1 and np.any(np.diff(sec) <= 0):
-        sec = _strictly_increasing(sec)
-    return sec
+    return t * MICROSECOND
 
 
 def assign_components(table: EventTable, scheme: BinningScheme,
@@ -88,7 +77,7 @@ def assign_components(table: EventTable, scheme: BinningScheme,
             f"events extend to {last * MICROSECOND} s beyond the declared "
             f"session duration {duration} s")
     # boundary events may overshoot the duration by their tie perturbation
-    times = tuple(_cap_strict(_to_seconds(c), duration) for c in per_comp_us)
+    times = tuple(_strict_within(_to_seconds(c), duration) for c in per_comp_us)
     session = Session(session_id, float(duration), times)
     return MultivariateEventStream(scheme.dimension, (session,))
 
@@ -114,10 +103,11 @@ def randomize_timestamps(stream: MultivariateEventStream, round_to_us: float,
     counted in the session metadata.  Ties are nudged apart by one ulp, and
     results past the session end are pulled back to it in strict order.
     """
-    if round_to_us <= 0:
-        raise ValueError("round_to_us must be positive")
-    if jitter_width_us < 0:
-        raise ValueError("jitter_width_us must be nonnegative")
+    if not 0 < round_to_us < np.inf:
+        raise ValueError(f"round_to_us must be finite and positive, got {round_to_us}")
+    if not 0 <= jitter_width_us < np.inf:
+        raise ValueError("jitter_width_us must be finite and nonnegative, "
+                         f"got {jitter_width_us}")
     rng = np.random.Generator(np.random.Philox(seed))
     sessions = []
     for sess in stream.sessions:
@@ -131,11 +121,9 @@ def randomize_timestamps(stream: MultivariateEventStream, round_to_us: float,
             below = rounded < 0
             clamped += int(below.sum())
             rounded[below] = 0.0
-            sec = np.sort(rounded * MICROSECOND)
-            if len(sec) > 1 and np.any(np.diff(sec) <= 0):
-                sec = _strictly_increasing(sec)
-            # rounding may carry events past the session end
-            new_times.append(_cap_strict(sec, sess.duration))
+            # rounding may tie events or carry them past the session end
+            new_times.append(_strict_within(np.sort(rounded * MICROSECOND),
+                                            sess.duration))
         meta = dict(sess.meta)
         meta.update(randomize_round_to_us=round_to_us,
                     randomize_jitter_us=jitter_width_us,

@@ -223,9 +223,10 @@ class Session:
         for i, t in enumerate(self.times):
             if len(t) == 0:
                 continue
-            if t[0] < 0 or t[-1] > self.duration:
+            # written so that a NaN time fails each check
+            if not (t[0] >= 0 and t[-1] <= self.duration):
                 raise ValueError(f"component {i}: times outside [0, duration]")
-            if np.any(np.diff(t) <= 0):
+            if not np.all(np.diff(t) > 0):
                 raise ValueError(f"component {i}: times not strictly increasing")
 
     @property

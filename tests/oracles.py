@@ -817,6 +817,20 @@ def strictly_increasing(t: np.ndarray) -> np.ndarray:
     return t
 
 
+def cap_strict(t: np.ndarray, cap: float) -> np.ndarray:
+    """The former cap loop of ``events.stream._cap_strict``, verbatim: it
+    ran after the tie nudge on every re-timed stream."""
+    if len(t) == 0 or t[-1] <= cap:
+        return t
+    t[-1] = cap
+    for k in range(len(t) - 2, -1, -1):
+        if t[k] >= t[k + 1]:
+            t[k] = np.nextafter(t[k + 1], -np.inf)
+        else:
+            break
+    return t
+
+
 def event_rows(table) -> list[tuple]:
     """An event table as ``(timestamp_us, etype, side, volume, price)``
     rows, with enum members and None for an absent price: the fields of

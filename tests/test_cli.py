@@ -368,21 +368,23 @@ class TestReportCommand:
 
 
 class TestRobustnessCommand:
-    def test_perturbation_defaults_shown_in_help(self, capsys):
-        args = cli.build_parser().parse_args(
-            ["robustness", "--input", "x", "--out", "o"])
-        assert (args.round_us, args.jitter_us) == (10.0, 50.0)
-        with pytest.raises(SystemExit):
-            main(["robustness", "--help"])
-        help_text = " ".join(capsys.readouterr().out.split())
-        assert "(default: 10.0)" in help_text and "(default: 50.0)" in help_text
+    def test_no_perturbation_exits_2(self, tmp_path, model_file, capsys):
+        sim = run_simulate(tmp_path, model_file, horizon=500.0)
+        out = tmp_path / "rob"
+        code = main(["robustness", "--input", str(sim / "events.csv"),
+                     "--dimension", "1", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert all(flag in err for flag in
+                   ("--randomize-round-us", "--window-start", "--window-end"))
+        assert not out.exists()
 
     def test_zero_jitter_identity(self, tmp_path, model_file, capsys):
         sim = run_simulate(tmp_path, model_file, horizon=5000.0)
         out = tmp_path / "rob"
         code = main(["robustness", "--input", str(sim / "events.csv"),
                      "--dimension", "1", "--out", str(out),
-                     "--round-us", "1", "--jitter-us", "0",
+                     "--randomize-round-us", "1", "--randomize-jitter-us", "0",
                      "--h-max", "2.0", "--n-log", "100"])
         assert code == 0
         text = (out / "rescaled_norm_reldiff_randomized.csv").read_text()
@@ -395,7 +397,7 @@ class TestRobustnessCommand:
         out = tmp_path / "rob2"
         code = main(["robustness", "--input", str(sim / "events.csv"),
                      "--dimension", "1", "--out", str(out),
-                     "--compare-window", "500", "4500",
+                     "--window-start", "500", "--window-end", "4500",
                      "--h-max", "2.0", "--n-log", "100"])
         assert code == 0
         assert (out / "rescaled_norm_reldiff_windowed.csv").exists()
@@ -405,13 +407,35 @@ class TestRobustnessCommand:
         out = tmp_path / "rob3"
         code = main(["robustness", "--input", str(sim / "events.csv"),
                      "--dimension", "1", "--out", str(out),
-                     "--round-us", "1", "--jitter-us", "0",
-                     "--compare-window", "0", "5000",
+                     "--randomize-round-us", "1", "--randomize-jitter-us", "0",
+                     "--window-start", "0", "--window-end", "5000",
                      "--h-max", "2.0", "--n-log", "100"])
         assert code == 0
         text = (out / "rescaled_norm_reldiff_windowed.csv").read_text()
         row = text.splitlines()[1].split(",")
         assert float(row[1]) == 0.0
+
+    def test_saved_config_replays_every_output(self, tmp_path, model_file,
+                                               capsys):
+        sim = run_simulate(tmp_path, model_file, horizon=2000.0)
+        capsys.readouterr()
+        first, again = tmp_path / "rob", tmp_path / "again"
+        common = ["robustness", "--input", str(sim / "events.csv"),
+                  "--dimension", "1"]
+        assert main([*common, "--out", str(first), "--seed", "4",
+                     "--randomize-round-us", "10", "--randomize-jitter-us", "50",
+                     "--window-start", "100", "--window-end", "1500",
+                     "--h-max", "2.0", "--n-log", "50"]) == 0
+        summary = capsys.readouterr().out
+        assert main([*common, "--out", str(again),
+                     "--config", str(first / "config.json")]) == 0
+        assert capsys.readouterr().out == summary
+        names = sorted(p.name for p in first.iterdir())
+        assert names == ["config.json", "rescaled_norm_reldiff_randomized.csv",
+                         "rescaled_norm_reldiff_windowed.csv"]
+        assert sorted(p.name for p in again.iterdir()) == names
+        for name in names:
+            assert (again / name).read_bytes() == (first / name).read_bytes()
 
 
 class TestUsageErrors:
@@ -470,8 +494,7 @@ SUBCOMMAND_FLAGS = {
                  "--out": str, "--config": str, "--seed": int},
     "estimate": ESTIMATION_FLAGS,
     "report": {**ESTIMATION_FLAGS, "--curves": ("diag", "all")},
-    "robustness": {**ESTIMATION_FLAGS, "--round-us": float,
-                   "--jitter-us": float, "--compare-window": float},
+    "robustness": ESTIMATION_FLAGS,
     "roundtrip": {"--tolerance-scale": float, "--criteria": int},
 }
 
@@ -539,6 +562,20 @@ class TestRunOptions:
         code, out = self.estimate(tmp_path, model_file, "--threads", value)
         assert code == 2
         assert f"threads must be at least 1, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,option", [
+        ("estimate", ["--randomize-round-us", "nan"]),
+        ("robustness", ["--randomize-round-us", "10",
+                        "--randomize-jitter-us", "inf"])])
+    def test_non_finite_randomization_exits_2(self, tmp_path, model_file,
+                                              capsys, command, option):
+        sim = run_simulate(tmp_path, model_file, horizon=200.0)
+        out = tmp_path / "o"
+        code = main([command, "--input", str(sim / "events.csv"),
+                     "--dimension", "1", "--out", str(out), *option])
+        assert code == 2
+        assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_jitter_without_rounding_flag_exits_2(self, tmp_path, model_file,

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from hawkesflow.events import (
     BinningMode,
@@ -15,8 +15,8 @@ from hawkesflow.events import (
     filter_session,
     randomize_timestamps,
 )
-from hawkesflow.events.stream import _strictly_increasing
-from oracles import event_rows, strictly_increasing
+from hawkesflow.events.stream import _strict_within
+from oracles import cap_strict, event_rows, strictly_increasing
 
 A, B = Side.ASK, Side.BID
 L, C, T = EventType.LIMIT, EventType.CANCEL, EventType.TRADE
@@ -146,6 +146,16 @@ class TestRandomize:
         with pytest.raises(ValueError):
             randomize_timestamps(stream, 10.0, -1.0, seed=1)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameters_rejected(self, value):
+        stream = self.make_stream()
+        with pytest.raises(ValueError, match=f"round_to_us must be finite and "
+                                             f"positive, got {value}"):
+            randomize_timestamps(stream, value, 10.0, seed=1)
+        with pytest.raises(ValueError, match=f"jitter_width_us must be finite "
+                                             f"and nonnegative, got {value}"):
+            randomize_timestamps(stream, 10.0, value, seed=1)
+
 
 class TestFilterSession:
     def make_stream(self):
@@ -213,17 +223,32 @@ class TestSession:
                                              f"and positive, got {duration}"):
             Session("s", duration, (np.array([1.0, 2.0, 3.5]),))
 
+    @pytest.mark.parametrize("times,message", [
+        ([np.nan, 2.0, 3.0], "outside"), ([1.0, 2.0, np.nan], "outside"),
+        ([1.0, np.nan, 3.0], "not strictly increasing"), ([np.nan], "outside")])
+    def test_nan_time_rejected(self, times, message):
+        with pytest.raises(ValueError, match=f"component 0: times {message}"):
+            Session("s", 10.0, (np.array(times),))
+
 
 class TestStrictlyIncreasing:
     # sorted nonnegative times drawn from a few values, so that ties and
     # runs of ties are common; 0.0, -0.0, the smallest subnormal and 1e300
-    # are among them
+    # are among them.  The cap falls below, at or above the largest time.
     @given(st.lists(st.sampled_from([0.0, -0.0, 5e-324, 1e-6, 1.0,
                                      np.nextafter(1.0, 2.0), 5e4, 1e300]),
                     max_size=40),
-           st.lists(st.floats(0.0, 1e5), max_size=20))
-    def test_matches_former_loop_bit_for_bit(self, tied, spread):
+           st.lists(st.floats(0.0, 1e5), max_size=20),
+           st.one_of(st.none(), st.sampled_from([1e-6, 1.0, 5e4]),
+                     st.floats(1e-6, 2e5)))
+    def test_matches_former_loop_bit_for_bit(self, tied, spread, cap):
         t = np.sort(np.array(tied + spread, dtype=float))
-        got = _strictly_increasing(t.copy())
-        expected = strictly_increasing(t.copy())
+        if cap is None:
+            cap = t[-1] if len(t) else 1.0
+        # A duration below len(t) ulps leaves no room for len(t) strictly
+        # increasing nonnegative times: the former loop stepped below zero
+        # with nextafter, the projection steps into negative bit patterns.
+        assume(np.float64(cap).view(np.int64) >= len(t))
+        got = _strict_within(t.copy(), cap)
+        expected = cap_strict(strictly_increasing(t.copy()), cap)
         assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
