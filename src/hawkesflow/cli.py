@@ -195,15 +195,23 @@ def _prepare_stream(args):
     return scheme, stream, events
 
 
+def _window(stream: MultivariateEventStream, config: RunConfig
+            ) -> tuple[float, float] | None:
+    """The config's window ``[start, end)`` in seconds, None when it sets
+    neither bound: an unset start is 0, an unset end the shortest
+    session's duration."""
+    start, end = config.window_start, config.window_end
+    if start is None and end is None:
+        return None
+    return (start or 0.0,
+            min(s.duration for s in stream.sessions) if end is None else end)
+
+
 def _perturbed(stream: MultivariateEventStream, config: RunConfig
                ) -> MultivariateEventStream:
     """The stream cut to the config's window, then randomized as it says."""
-    if config.window_start is not None or config.window_end is not None:
-        start = config.window_start or 0.0
-        end = config.window_end
-        if end is None:
-            end = min(s.duration for s in stream.sessions)
-        stream = filter_session(stream, start, end)
+    if (window := _window(stream, config)) is not None:
+        stream = filter_session(stream, *window)
     if config.randomize_round_us is not None:
         stream = randomize_timestamps(stream, config.randomize_round_us,
                                       config.randomize_jitter_us or 0.0,
@@ -278,6 +286,11 @@ def cmd_report(args, config: RunConfig) -> int:
     from .events import flow_statistics
 
     scheme, stream, events = _prepare_stream(args)
+    if (window := _window(stream, config)) is not None:
+        # the trades in the window; an untied event's time is ts_us * 1 us
+        seconds = [t.ts_us * MICROSECOND for t in events]
+        events = [t.take((window[0] <= s) & (s < window[1]))
+                  for t, s in zip(events, seconds)]
     stream = _perturbed(stream, config)
     claw, est = _estimate_pipeline(stream, config)
     out_dir = Path(args.out)

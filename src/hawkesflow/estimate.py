@@ -81,29 +81,14 @@ class ConditionalLawMatrix:
         """(D, B) mask per source component: True where data exists."""
         return self.admissible > 0
 
-    def at_lags(self, lags, zero: str = "average", stderr: bool = False):
-        """Piecewise-constant lookup of the law at signed lags: for each
-        source j in turn, yield the ``(D, *lags.shape)`` array whose row k
-        is the (k <- j) law (its standard error with ``stderr=True``).
-
-        Negative lags use the time-reversal identity
-        g[k,j](-t) = (lam_k / lam_j) g[j,k](t).  A law whose source or target
-        is event-free is identically zero and reads zero at every lag,
-        whatever its table holds.
-        At exactly zero, ``zero="average"`` blends the two one-sided first
-        bins (suited to a quadrature point sitting on the jump) while
-        ``zero="right"`` returns the right limit.  Lags past ``h_max`` read
-        zero.
-        """
-        columns = self.lag_columns(lags, zero)
-        for table in self.lag_tables(stderr):
-            yield np.take(table, columns)
-
     def lag_columns(self, lags, zero: str = "average") -> np.ndarray:
-        """Where ``at_lags`` reads the law at each signed lag: the
-        ``(D, *lags.shape)`` flat indices into every table of
-        ``lag_tables``, row k for the (k <- j) law.  One index serves every
-        source and both tables."""
+        """Where ``lag_table()[j]`` is read at each signed lag: the
+        ``(D, *lags.shape)`` flat indices, row k for the (k <- j) law of
+        every source j.  Negative lags read the reflected bins, the
+        time-reversal identity g[k,j](-t) = (lam_k / lam_j) g[j,k](t), and
+        lags past ``h_max`` a zero.  At exactly zero, ``zero="average"``
+        reads the blend of both one-sided first bins (suited to a quadrature
+        point sitting on the jump), ``zero="right"`` the right limit."""
         if zero not in ("average", "right"):
             raise ValueError(f"unknown lag-zero convention {zero!r}")
         lags = np.asarray(lags, dtype=float)
@@ -115,25 +100,26 @@ class ConditionalLawMatrix:
         rows = np.arange(self.dimension).reshape((-1,) + (1,) * lags.ndim)
         return idx + (2 * n + 2) * rows
 
-    def lag_tables(self, stderr: bool = False):
-        """For each source j in turn, yield the ``(D, 2 n_bins + 2)`` table
-        that ``lag_columns`` indexes, row k for the (k <- j) law (its
-        standard error with ``stderr=True``): columns 0..n-1 are the bins
-        at positive lags, n..2n-1 the reflected bins at negative lags, 2n a
-        zero for lags past ``h_max`` and 2n+1 the average of both one-sided
-        first bins, read at lag zero."""
+    def lag_table(self, stderr: bool = False) -> np.ndarray:
+        """The ``(D, D, 2 n_bins + 2)`` table ``lag_columns`` indexes; entry
+        [j, k] is the (k <- j) law (its standard error with ``stderr=True``):
+        the bins at positive lags, the reflected bins (lam_k / lam_j) g[j,k],
+        a zero for lags past ``h_max`` and the average of both first bins,
+        read at lag zero.  The law of an event-free source or target is zero,
+        whatever ``values`` holds."""
         table = self.stderr if stderr else self.values
-        d, n = self.dimension, self.grid.n_bins
+        n = self.grid.n_bins
+        out = np.zeros((self.dimension, self.dimension, 2 * n + 2))
+        # ratio[j, k] = lam_k / lam_j; rows of an event-free j are zeroed below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = self.lam / self.lam[:, None]
+            out[:, :, :n] = table.transpose(1, 0, 2)
+            out[:, :, n:2 * n] = ratio[:, :, None] * table
+            out[:, :, 2 * n + 1] = 0.5 * (table[:, :, 0].T + ratio * table[:, :, 0])
         event_free = self.lam <= 0
-        for j in range(d):
-            cols = np.zeros((d, 2 * n + 2))
-            if not event_free[j]:
-                ratio = self.lam / self.lam[j]
-                cols[:, :n] = table[:, j]
-                cols[:, n:2 * n] = ratio[:, None] * table[j]
-                cols[:, 2 * n + 1] = 0.5 * (table[:, j, 0] + ratio * table[j, :, 0])
-                cols[event_free] = 0.0
-            yield cols
+        out[event_free] = 0.0
+        out[:, event_free] = 0.0
+        return out
 
     @classmethod
     def from_function(cls, grid: LinLogGrid, func, lam) -> "ConditionalLawMatrix":

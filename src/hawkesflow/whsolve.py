@@ -127,9 +127,11 @@ def exogeneity_ratios(baseline: np.ndarray, lam: np.ndarray) -> np.ndarray:
 def _at_nodes(claw: ConditionalLawMatrix, nodes: np.ndarray,
               stderr: bool = False) -> np.ndarray:
     """Right-hand-side layout of the law at the nodes, right limit at node
-    0: row (j, q), column i holds g[i, j](x_q), or its standard error."""
-    return np.concatenate([g.T for g in claw.at_lags(nodes, zero="right",
-                                                        stderr=stderr)])
+    0: row (j, q), column i holds g[i, j](x_q), or its standard error.  It
+    is F-ordered, as the residual norms sum in memory order."""
+    at = np.take(claw.lag_table(stderr).reshape(claw.dimension, -1),
+                 claw.lag_columns(nodes, zero="right"), axis=1)
+    return at.transpose(1, 0, 2).reshape(len(at), -1).T
 
 
 def _row_block_columns(claw: ConditionalLawMatrix,
@@ -151,7 +153,7 @@ def _row_blocks(claw: ConditionalLawMatrix, quad: QuadratureGrid,
     with the average of both one-sided first bins at lag zero.
     """
     q = quad.n_nodes
-    for j, table in enumerate(claw.lag_tables()):
+    for j, table in enumerate(claw.lag_table()):
         rows = out[j * q:(j + 1) * q] if len(out) > q else out
         block = rows.reshape(columns.shape)
         # the indices are in range by construction; mode "raise" would
@@ -330,13 +332,8 @@ def verify_negativity_propagation(claw: ConditionalLawMatrix,
     negative node value; a violation raises, as it would contradict the
     propagation property of the Wiener-Hopf solution.
     """
-    d = claw.dimension
     in_reach = claw.grid.edges[:-1] < quad.x_max
-    neg = np.zeros((d, d), dtype=bool)
-    for i in range(d):
-        for j in range(d):
-            ok = claw.has_window[j] & in_reach
-            neg[i, j] = bool(np.any(claw.values[i, j][ok] < 0.0))
+    neg = np.any((claw.values < 0) & (claw.has_window & in_reach), axis=2)
     hypothesis = bool(np.all(neg.any(axis=0))) or bool(np.all(neg.any(axis=1)))
     if not hypothesis:
         return NegativityReport(False, False, float("nan"), None, None)

@@ -286,6 +286,24 @@ def stderr_at_lag(claw, i: int, j: int, lags) -> np.ndarray:
     return out
 
 
+def lag_tables(claw, stderr: bool = False):
+    """For each source j in turn, the ``(D, 2 n_bins + 2)`` table that
+    ``lag_columns`` indexes, row k for the (k <- j) law.  The former
+    ``ConditionalLawMatrix.lag_tables``, one source at a time."""
+    table = claw.stderr if stderr else claw.values
+    d, n = claw.dimension, claw.grid.n_bins
+    event_free = claw.lam <= 0
+    for j in range(d):
+        cols = np.zeros((d, 2 * n + 2))
+        if not event_free[j]:
+            ratio = claw.lam / claw.lam[j]
+            cols[:, :n] = table[:, j]
+            cols[:, n:2 * n] = ratio[:, None] * table[j]
+            cols[:, 2 * n + 1] = 0.5 * (table[:, j, 0] + ratio * table[j, :, 0])
+            cols[event_free] = 0.0
+        yield cols
+
+
 def assemble_system(claw, quad) -> tuple[np.ndarray, np.ndarray]:
     """The Nystrom system as the solver formerly built it: one
     ``value_at_lag`` lookup per block, A[(j,q),(k,m)] = delta +

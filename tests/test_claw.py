@@ -21,6 +21,7 @@ from hawkesflow.simulate import (
 from oracles import (
     direct_negative_lag_counts,
     fixed_point_claw,
+    lag_tables,
     normalized_law,
     stderr_at_lag,
     value_at_lag,
@@ -33,9 +34,9 @@ def stream_of(times_lists, duration, session_id="s"):
                                    (Session(session_id, duration, arrays),))
 
 
-def law_at(claw, i, j, lags, **kwargs):
-    """The (i <- j) law at ``lags`` through the one lookup."""
-    return list(claw.at_lags(np.asarray(lags, dtype=float), **kwargs))[j][i]
+def law_at(claw, i, j, lags, zero="average", stderr=False):
+    """The (i <- j) law at ``lags``: the index, then the table."""
+    return np.take(claw.lag_table(stderr)[j], claw.lag_columns(lags, zero))[i]
 
 
 def bin_midpoints(grid):
@@ -259,28 +260,50 @@ class TestLagLookup:
         claw = self.make_claw()
         assert law_at(claw, 0, 0, [100.0])[0] == 0.0
 
-    @pytest.mark.parametrize("lam", [[0.8, 1.7, 2.4], [1.3, 0.0, 0.7]],
-                             ids=["positive-rates", "event-free"])
-    def test_bit_identical_to_former_lookups(self, lam):
+    @staticmethod
+    def random_claw(lam):
         rng = np.random.default_rng(5)
         grid = build_linlog_grid(h_min=1e-2, h_max=1.0, n_lin=10, n_log=30)
         d, b = len(lam), grid.n_bins
-        claw = ConditionalLawMatrix(
+        return rng, ConditionalLawMatrix(
             grid, rng.normal(0.0, 0.3, (d, d, b)), rng.uniform(0.0, 0.1, (d, d, b)),
             np.zeros((d, d, b), dtype=np.int64), np.ones((d, b), dtype=np.int64),
             np.asarray(lam), total_time=1.0)
+
+    @pytest.mark.parametrize("lam", [[0.8, 1.7, 2.4], [1.3, 0.0, 0.7]],
+                             ids=["positive-rates", "event-free"])
+    def test_bit_identical_to_former_lookups(self, lam):
+        rng, claw = self.random_claw(lam)
+        d, grid = claw.dimension, claw.grid
         # both signs, lag zero, bin edges and lags past h_max
         lags = np.concatenate([rng.uniform(-1.5, 1.5, 199), [0.0, 1.0, -1.0],
                                grid.edges[:5], -grid.edges[:5]]).reshape(4, -1)
-        for j, (avg, right, err) in enumerate(zip(
-                claw.at_lags(lags), claw.at_lags(lags, zero="right"),
-                claw.at_lags(lags, zero="right", stderr=True))):
+        values, errors = claw.lag_table(), claw.lag_table(stderr=True)
+        average, right_limit = (claw.lag_columns(lags),
+                                claw.lag_columns(lags, zero="right"))
+        for j in range(d):
+            avg = np.take(values[j], average)
+            right = np.take(values[j], right_limit)
+            err = np.take(errors[j], right_limit)
             assert avg.shape == right.shape == err.shape == (d,) + lags.shape
             for i in range(d):
                 assert avg[i].tobytes() == value_at_lag(claw, i, j, lags).tobytes()
                 assert right[i].tobytes() == value_at_lag(
                     claw, i, j, lags, zero="right").tobytes()
                 assert err[i].tobytes() == stderr_at_lag(claw, i, j, lags).tobytes()
+
+    @pytest.mark.parametrize("lam", [[0.8, 1.7, 2.4], [0.0, 1.3, 0.7],
+                                     [1.3, 0.7, 0.0]],
+                             ids=["positive-rates", "event-free-first",
+                                  "event-free-last"])
+    @pytest.mark.parametrize("stderr", [False, True], ids=["values", "stderr"])
+    def test_table_bit_identical_to_former_generator(self, lam, stderr):
+        # the random law is nonzero where an event-free component is the
+        # source (entries [z]) and where it is the target (entries [:, z])
+        _, claw = self.random_claw(lam)
+        table = claw.lag_table(stderr)
+        assert table.shape == (3, 3, 2 * claw.grid.n_bins + 2)
+        assert table.tobytes() == np.stack(list(lag_tables(claw, stderr))).tobytes()
 
 
 class TestSerialization:

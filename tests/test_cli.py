@@ -366,6 +366,28 @@ class TestReportCommand:
         assert "component_summary.csv" in names
         assert "duration_histogram.csv" in names
 
+    def test_window_cuts_the_trades_it_reports(self, tmp_path, model_file):
+        # sessions of unequal length and no window end: the window closes
+        # at the shorter session's end, 900 s
+        sims = [run_simulate(tmp_path, model_file, seed=seed, horizon=horizon,
+                             name=f"sim{seed}")
+                for seed, horizon in ((5, 1500.0), (6, 900.0))]
+        out = tmp_path / "rep"
+        code = main(["report", "--input", *(str(s / "events.csv") for s in sims),
+                     "--dimension", "1", "--out", str(out),
+                     "--window-start", "100.25", "--h-max", "2.0", "--n-log", "80"])
+        assert code == 0
+
+        def column_total(name):
+            rows = (out / name).read_text().splitlines()[1:]
+            return sum(int(row.split(",")[1]) for row in rows)
+
+        in_window = sum(
+            np.count_nonzero((t.ts_us >= 100_250_000) & (t.ts_us < 900_000_000))
+            for t in (read_event_csv(s / "events.csv") for s in sims))
+        assert column_total("component_summary.csv") == in_window
+        assert column_total("volume_histogram.csv") == in_window
+
 
 class TestRobustnessCommand:
     def test_no_perturbation_exits_2(self, tmp_path, model_file, capsys):
