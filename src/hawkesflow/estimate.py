@@ -10,11 +10,15 @@ first bin is open at lag zero.
 
 Pair counting runs once per session over all components together, merged
 into one time-ordered stream.  Bins up to a crossover lag enumerate their
-pairs directly: one forward window per event, so the cost follows the
-number of pairs that land there.  The remaining, wider bins count pairs as
-differences of prefix sums, with one search per event and edge into the
-merged stream; their cost follows events times bins, however many pairs
-they hold.  The crossover balances the two from the session's event rate.
+pairs directly: one forward window per event, each lag placed by the
+grid's own bin formula and settled by the defining comparisons, so the
+cost follows the number of pairs that land there.  The remaining, wider
+bins count pairs as differences of prefix sums over keys, one per event and
+edge: how many events of the merged stream lie at or below the event time
+plus the edge.  A uniform bucket table built once per session reads that
+number off for most keys; only a key whose cell holds events is searched
+for.  The cost follows events times bins, however many pairs they hold.
+The crossover balances the two from the session's event rate.
 """
 
 from __future__ import annotations
@@ -150,10 +154,11 @@ class ConditionalLawMatrix:
 _CHUNK = 1 << 14
 
 
-def _chunks(lengths: np.ndarray):
-    """Walk index ranges of the given lengths laid end to end, ``_CHUNK``
-    elements at a time; yield (range index, offset within the range) of
-    every element of the chunk."""
+def _chunks(starts: np.ndarray, lengths: np.ndarray):
+    """Walk the index ranges ``[starts[r], starts[r] + lengths[r])`` laid end
+    to end, ``_CHUNK`` elements at a time.  Yield, per chunk, the first range
+    it touches, the number of its elements in each range from there on, and
+    the indices of its elements."""
     ends = np.cumsum(lengths)
     total = int(ends[-1]) if len(ends) else 0
     for f0 in range(0, total, _CHUNK):
@@ -161,9 +166,8 @@ def _chunks(lengths: np.ndarray):
         p0 = int(np.searchsorted(ends, f0, side="right"))
         p1 = int(np.searchsorted(ends, f1 - 1, side="right")) + 1
         begin = ends[p0:p1] - lengths[p0:p1]
-        n = np.minimum(ends[p0:p1], f1) - np.maximum(begin, f0)
-        yield (np.repeat(np.arange(p0, p1), n),
-               np.arange(f0, f1) - np.repeat(begin, n))
+        counts = np.minimum(ends[p0:p1], f1) - np.maximum(begin, f0)
+        yield p0, counts, np.arange(f0, f1) + np.repeat(starts[p0:p1] - begin, counts)
 
 
 def _near_bins(n_events: int, duration: float, edges: np.ndarray) -> int:
@@ -177,8 +181,49 @@ def _near_bins(n_events: int, duration: float, edges: np.ndarray) -> int:
     return int(np.argmin(cost))
 
 
+# Cells of the bucket table per event of the merged stream.
+_CELLS_PER_EVENT = 8
+
+
+def _stream_positions(merged: np.ndarray):
+    """A function giving, for keys at or above ``merged[0]``, the number of
+    events of the sorted stream ``merged`` at or below each key, as
+    ``searchsorted(merged, keys, "right")`` does.
+
+    Events and keys go through one monotone map into uniform cells, so an
+    event in a lower cell than a key is at or below it and one in a higher
+    cell above it.  A key whose cell holds no event reads its position off
+    the table; only one whose cell holds events is searched for."""
+    n = len(merged)
+    span = merged[-1] - merged[0]
+    scale = _CELLS_PER_EVENT * n / span if span > 0 else 0.0
+    if not np.isfinite(merged[-1] * scale):
+        scale = 0.0
+    base = merged[0] * scale
+    top = int(merged[-1] * scale - base) + 1      # above every event's cell
+
+    def cell(x):
+        c = x * scale
+        c -= base
+        return np.minimum(c, top, out=c).astype(np.intp)
+
+    # below[c]: events in cells below c; int32 holds any session's count
+    below = np.zeros(top + 2, dtype=np.int32)
+    np.cumsum(np.bincount(cell(merged), minlength=top + 1), out=below[1:])
+    above = below[1:]
+
+    def positions(keys):
+        c = cell(keys)
+        pos = below[c]
+        held = np.flatnonzero(above[c] != pos)
+        pos[held] = np.searchsorted(merged, keys[held], side="right")
+        return pos
+
+    return positions
+
+
 def _session_pair_counts(times: tuple[np.ndarray, ...], duration: float,
-                         edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                         grid: LinLogGrid) -> tuple[np.ndarray, np.ndarray]:
     """Pair counts ``(D, D, B)`` and admissible counts ``(D, B)`` of one
     session.
 
@@ -188,7 +233,8 @@ def _session_pair_counts(times: tuple[np.ndarray, ...], duration: float,
     a prefix of the time-ordered stream, so the cut is an index comparison.
     """
     d = len(times)
-    n_bins = len(edges) - 1
+    edges = grid.edges
+    n_bins = grid.n_bins
     flat = np.concatenate(times)               # component-major
     offsets = np.concatenate([[0], np.cumsum([len(t) for t in times])])
     comp = np.repeat(np.arange(d), np.diff(offsets))
@@ -202,7 +248,7 @@ def _session_pair_counts(times: tuple[np.ndarray, ...], duration: float,
     cum[np.arange(1, n + 1), mcomp] = 1
     np.cumsum(cum, axis=0, out=cum)
     prefix = np.searchsorted(merged, duration - edges[1:], side="right")
-    adm = cum[prefix].T.astype(np.int64)
+    adm = np.take(cum, prefix, axis=0).T.astype(np.int64)
     pairs = np.zeros((d, d, n_bins), dtype=np.int64)
     if n == 0:
         return pairs, adm
@@ -215,11 +261,11 @@ def _session_pair_counts(times: tuple[np.ndarray, ...], duration: float,
         lo = np.searchsorted(merged, merged + edges[0], side="right")
         hi = np.searchsorted(merged, merged + edges[k], side="right")
         near = np.zeros(d * d * k, dtype=np.int64)
-        for src, off in _chunks(hi - lo):
+        for p0, counts, tgt in _chunks(lo, hi - lo):
+            src = np.repeat(np.arange(p0, p0 + len(counts)), counts)
             s = merged[src]
-            tgt = lo[src] + off
             t = merged[tgt]
-            b = np.clip(np.searchsorted(edges[:k + 1], t - s) - 1, 0, k - 1)
+            b = grid.bin_index(np.minimum(t - s, edges[k]))
             while (down := t <= s + edges[b]).any():
                 b -= down
             while (up := t > s + edges[b + 1]).any():
@@ -243,13 +289,15 @@ def _session_pair_counts(times: tuple[np.ndarray, ...], duration: float,
             [np.zeros_like(a_left), a_left], axis=-1)
         length = np.stack([a_left, a_right - a_left], axis=-1).ravel()
         start, shift = start.ravel(), np.repeat(edges[m], 2 * d)
+        positions = _stream_positions(merged)
         sums = np.zeros((len(length), d), dtype=np.int64)
-        for piece, off in _chunks(length):
-            keys = flat[start[piece] + off] + shift[piece]
-            below = cum[np.searchsorted(merged, keys, side="right")]
-            first = np.flatnonzero(np.diff(piece, prepend=-1))
-            sums[piece[first]] += np.add.reduceat(below, first, axis=0,
-                                                  dtype=np.int64)
+        for p0, counts, idx in _chunks(start, length):
+            keys = flat[idx]
+            keys += np.repeat(shift[p0:p0 + len(counts)], counts)
+            below = np.take(cum, positions(keys), axis=0)
+            hit = np.flatnonzero(counts)
+            sums[p0 + hit] += np.add.reduceat(
+                below, (np.cumsum(counts) - counts)[hit], axis=0, dtype=np.int64)
         sums = sums.reshape(len(m), d, 2, d)
         left = sums[:, :, 0]
         right = left + sums[:, :, 1]
@@ -280,7 +328,7 @@ def estimate_conditional_law(stream: MultivariateEventStream,
     lam = estimate_mean_intensity(stream)
 
     def run(sess: Session):
-        return _session_pair_counts(sess.times, sess.duration, grid.edges)
+        return _session_pair_counts(sess.times, sess.duration, grid)
 
     if workers and workers > 1:
         from concurrent.futures import ThreadPoolExecutor

@@ -79,12 +79,18 @@ class EventTable:
 
     def __post_init__(self):
         n = len(self.ts_us)
-        cols = {name: np.asarray(getattr(self, name), dtype=np.int64)
-                for name in _COLUMNS}
+        # a column already of its dtype is copied as it is, any other through
+        # int64, so that no value wraps before the checks
+        cols = {}
+        for name, dtype in _COLUMNS.items():
+            col = getattr(self, name)
+            own = isinstance(col, np.ndarray) and col.dtype == dtype
+            cols[name] = np.array(col, dtype=dtype if own else np.int64)
         if any(c.shape != (n,) for c in cols.values()):
             raise ValueError("event columns must be flat and of equal length")
-        bad = np.flatnonzero(np.diff(cols["ts_us"], prepend=0) < 0)
-        if len(bad):
+        ts = cols["ts_us"]
+        if n and (ts[0] < 0 or np.any(ts[1:] < ts[:-1])):
+            bad = np.flatnonzero(np.diff(ts, prepend=0) < 0)
             raise ValueError(f"timestamp at row {bad[0]} is negative or decreasing")
         for name, n_codes in (("etype", len(TYPE_CODE)), ("side", len(SIDE_CODE))):
             if np.any((cols[name] < 0) | (cols[name] >= n_codes)):
@@ -93,7 +99,7 @@ class EventTable:
             raise ValueError("nonpositive volume")
         cols["price"] = np.where(cols["has_price"] != 0, cols["price"], 0)
         for name, dtype in _COLUMNS.items():
-            object.__setattr__(self, name, cols[name].astype(dtype))
+            object.__setattr__(self, name, cols[name].astype(dtype, copy=False))
 
     @classmethod
     def from_rows(cls, rows) -> "EventTable":

@@ -58,13 +58,30 @@ class LinLogGrid:
         return np.diff(self.edges)
 
     def bin_index(self, lags):
-        """Bin index for each lag in ``(0, h_max]``; -1 when out of range."""
+        """Bin index for each lag in ``(0, h_max]``; -1 elsewhere, NaN
+        included.  The grid's own formula guesses the bin and comparisons
+        with the edges settle it, so a lag on an edge lands in the bin that
+        edge closes."""
         lags = np.asarray(lags, dtype=float)
-        # searchsorted with side='left' maps lag in (edges[b], edges[b+1]]
-        # to b+1, hence the -1.
-        idx = np.searchsorted(self.edges, lags, side="left") - 1
-        out_of_range = (lags <= 0) | (lags > self.edges[-1])
-        return np.where(out_of_range, -1, idx)
+        edges = self.edges
+        x = lags.reshape(-1)
+        inside = (x > 0) & (x <= edges[-1])
+        if not inside.all():
+            x = np.where(inside, x, self.h_min)
+        with np.errstate(divide="ignore"):      # a lag too small for log
+            guess = np.log(x / self.h_min)
+        guess /= self.delta_log
+        guess += self.n_lin
+        np.divide(x, self.delta_lin, out=guess, where=x <= self.h_min)
+        np.ceil(guess, out=guess)
+        guess -= 1
+        b = np.clip(guess, 0, self.n_bins - 1, out=guess).astype(np.int64)
+        while (down := x <= edges[b]).any():
+            b -= down
+        while (up := x > edges[b + 1]).any():
+            b += up
+        b[~inside] = -1
+        return b.reshape(lags.shape)
 
     def to_dict(self) -> dict:
         return {

@@ -19,7 +19,9 @@ row objects, is the reference for the error messages and line numbers of
 the table parser, the former per-event aggregation for the table's, and
 the former tie-nudging loop for its running-maximum form.  The former
 lin-log grid builder, which also took explicit steps, is the bit-level
-reference for the builder that derives them from the four sizes.
+reference for the builder that derives them from the four sizes, and the
+former searchsorted bin lookup for the grid's formula-based one; the lag
+lookups here use it, so they do not lean on the lookup they check.
 """
 
 from __future__ import annotations
@@ -225,9 +227,21 @@ def brute_force_pair_counts(t_i: np.ndarray, t_j: np.ndarray, duration: float,
     return pairs, adm
 
 
+def searchsorted_bin_index(grid, lags) -> np.ndarray:
+    """Bin index of each lag in ``(0, h_max]``, -1 elsewhere: the former
+    ``LinLogGrid.bin_index``, one binary search over the edges, except that
+    NaN now reads -1 (it read ``n_bins``)."""
+    lags = np.asarray(lags, dtype=float)
+    # searchsorted with side='left' maps lag in (edges[b], edges[b+1]]
+    # to b+1, hence the -1.
+    idx = np.searchsorted(grid.edges, lags, side="left") - 1
+    inside = (lags > 0) & (lags <= grid.edges[-1])
+    return np.where(inside, idx, -1)
+
+
 def _bin_values(claw, i: int, j: int, lags: np.ndarray,
                 arr: np.ndarray) -> np.ndarray:
-    idx = claw.grid.bin_index(lags)
+    idx = searchsorted_bin_index(claw.grid, lags)
     ok = idx >= 0
     out = np.zeros(lags.shape)
     out[ok] = arr[i, j][idx[ok]]
@@ -335,7 +349,7 @@ def gathered_variance(claw, quad) -> np.ndarray:
     d = claw.dimension
     q = quad.n_nodes
     padded = np.concatenate([claw.stderr, np.zeros((d, d, 1))], axis=-1)
-    bins = np.where(quad.nodes == 0, 0, claw.grid.bin_index(quad.nodes))
+    bins = np.where(quad.nodes == 0, 0, searchsorted_bin_index(claw.grid, quad.nodes))
     errs = padded[:, :, bins]
     errs[:, claw.lam == 0] = 0.0
     errs[claw.lam == 0] = 0.0

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from hawkesflow.grids import build_linlog_grid, build_quadrature, trapezoid_weights
-from oracles import build_linlog_grid_with_steps
+from oracles import build_linlog_grid_with_steps, searchsorted_bin_index
+from test_pair_counts import GRIDS
 
 
 class TestLinLogGrid:
@@ -64,6 +65,8 @@ class TestLinLogGrid:
         assert grid.bin_index(math.e ** 2) == 3
         assert grid.bin_index(0.0) == -1
         assert grid.bin_index(math.e ** 2 + 1e-9) == -1
+        # searchsorted sorts NaN last, which once gave n_bins
+        assert grid.bin_index(math.nan) == -1
 
     def test_roundtrip_through_dict(self):
         grid = build_linlog_grid(h_min=2e-3, h_max=40.0, n_lin=10, n_log=20)
@@ -116,6 +119,37 @@ class TestFormerBuilder:
            n_log=st.integers(1, 3000))
     def test_ratio_near_one(self, h_min, ratio, n_log):
         assert_as_former_builder(h_min, h_min * ratio, 50, n_log)
+
+
+def lags_around_edges(grid) -> np.ndarray:
+    """Every edge, each edge one ulp either side, zero, past ``h_max``,
+    negative lags and NaN."""
+    edges = grid.edges
+    return np.concatenate([
+        edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+        [0.0, -0.0, edges[-1] * 2, np.inf, -edges[1], -edges[-1], -np.inf, np.nan]])
+
+
+class TestBinIndex:
+    """The grid's formula-based bin lookup equals the former searchsorted
+    one on every grid the program builds and every pair-count test grid, at
+    and around every edge."""
+
+    ALL_GRIDS = {**{str(sizes): build_linlog_grid(
+        **dict(zip(("h_min", "h_max", "n_lin", "n_log"), sizes))) for sizes in PROGRAM_GRIDS},
+        **GRIDS}
+
+    @pytest.mark.parametrize("name", sorted(ALL_GRIDS))
+    def test_equals_searchsorted_lookup(self, name):
+        grid = self.ALL_GRIDS[name]
+        lags = lags_around_edges(grid)
+        assert np.array_equal(grid.bin_index(lags), searchsorted_bin_index(grid, lags))
+
+    def test_shape_follows_lags(self):
+        grid = build_linlog_grid(h_min=1.0, h_max=math.e ** 2, n_lin=2, n_log=2)
+        assert grid.bin_index(0.75).shape == ()
+        assert grid.bin_index(np.full((2, 3), 0.75)).tolist() == [[1] * 3] * 2
+        assert grid.bin_index([]).shape == (0,)
 
 
 class TestQuadrature:

@@ -87,6 +87,48 @@ GRIDS = {
 }
 
 
+def stream_from_seconds(sessions, durations):
+    """Stream from per-session lists of per-component float times."""
+    return MultivariateEventStream(len(sessions[0]), tuple(
+        Session(f"s{k}", dur, tuple(np.unique(np.asarray(c, dtype=float)) for c in comps))
+        for k, (comps, dur) in enumerate(zip(sessions, durations))))
+
+
+def burst():
+    """1200 events one ulp apart at 5 ms, alternating between two
+    components, amid events on a 20 us tick: one bucket cell holds them."""
+    rng = np.random.default_rng(5)
+    at = 0.005 + np.arange(1200) * np.spacing(0.005)
+    comps = [np.concatenate([at[k::2], 20e-6 * rng.integers(0, 500, 40)]) for k in range(2)]
+    return stream_from_seconds([comps], [0.01]), GRIDS["lin20us"]
+
+
+def all_at_zero():
+    """Every event at t = 0: the table spans nothing."""
+    return stream_from_seconds([[[0.0], [0.0], [0.0]]], [5e-5]), GRIDS["lin20us"]
+
+
+def keys_on_events():
+    """Events on a 2^-12 s tick and linear edges on the same tick, so event
+    time plus edge lands exactly on later events."""
+    grid = build_linlog_grid(h_min=2.0 ** -10, h_max=0.05, n_lin=4, n_log=20)
+    rng = np.random.default_rng(9)
+    comps = [2.0 ** -12 * rng.integers(0, 64, 40) for _ in range(3)]
+    return stream_from_seconds([comps], [64 * 2.0 ** -12]), grid
+
+
+def keys_past_last_event():
+    """Events in the first millisecond of a 20 ms session: most keys lie
+    past the last event, above every cell."""
+    rng = np.random.default_rng(13)
+    comps = [1e-6 * rng.integers(0, 1000, 60) for _ in range(2)]
+    return stream_from_seconds([comps], [0.02]), GRIDS["coarse"]
+
+
+BUCKET_CASES = {f.__name__: f for f in (burst, all_at_zero, keys_on_events,
+                                        keys_past_last_event)}
+
+
 class TestPairCountIdentity:
     @given(stream=streams(), grid=st.sampled_from(sorted(GRIDS)),
            weighting=st.sampled_from(["events", "sessions"]),
@@ -121,6 +163,13 @@ class TestPairCountIdentity:
         stream = stream_from_us([comps(True), comps(False)], [20 * ticks] * 2)
         assert regime(stream, grid) == case
         assert_identical(stream, grid, weighting, workers)
+
+    @pytest.mark.parametrize("weighting", ["events", "sessions"])
+    @pytest.mark.parametrize("case", sorted(BUCKET_CASES))
+    def test_bucket_table_inputs(self, case, weighting):
+        stream, grid = BUCKET_CASES[case]()
+        assert regime(stream, grid) != "near"   # the far bins read the table
+        assert_identical(stream, grid, weighting)
 
     def test_empty_session_and_single_event(self):
         grid = build_linlog_grid(h_min=1e-3, h_max=0.1, n_lin=50, n_log=10)
