@@ -18,6 +18,15 @@ def float_cells(values) -> list[str]:
     return list(map(repr, np.asarray(values, dtype=np.float64).tolist()))
 
 
+def float_cell_rows(rows) -> list[list[str]]:
+    """``float_cells`` of each row of a 2-D array, with one ``repr`` per
+    distinct float64 bit pattern, so ``-0.0`` and ``0.0`` stay apart."""
+    rows = np.ascontiguousarray(rows, dtype=np.float64)
+    bits, where = np.unique(rows.view(np.uint64).ravel(), return_inverse=True)
+    cells = np.array(float_cells(bits.view(np.float64)), dtype=object)
+    return cells[where.reshape(rows.shape)].tolist()
+
+
 def int_cells(values) -> list[str]:
     """``str(int(v))`` of each value."""
     return list(map(str, np.asarray(values, dtype=np.int64).tolist()))

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from ._jsonio import read_json, write_json
-from ._tables import float_cells, int_cells, write_table
+from ._tables import float_cell_rows, float_cells, int_cells, write_table
 from .grids import LinLogGrid, build_linlog_grid
 from .events.types import MultivariateEventStream, Session
 
@@ -370,17 +370,29 @@ def estimate_conditional_law(stream: MultivariateEventStream,
 
 def write_law_curves(claw: ConditionalLawMatrix, targets) -> list[Path]:
     """Write the (i <- j) law for each ``(i, j, path)`` of ``targets`` as
-    ``bin_left, bin_right, value, stderr, pairs`` rows, one per bin."""
+    ``bin_left, bin_right, value, stderr, pairs`` rows, one per bin.  A
+    target that raises does so after the files of the targets before it
+    are written."""
+    chosen = []
+    try:
+        chosen.extend(targets)
+    finally:
+        _write_laws(claw, chosen)
+    return [path for _, _, path in chosen]
+
+
+def _write_laws(claw: ConditionalLawMatrix, chosen: list) -> None:
     edges = float_cells(claw.grid.edges)
     left, right = edges[:-1], edges[1:]
-    written = []
-    for i, j, path in targets:
+    # the values and standard errors of the chosen pairs only, each distinct
+    # number formatted once: half of a sparse law's cells repeat -lam_i or 0.0
+    ij = tuple(np.array([(i, j) for i, j, _ in chosen], dtype=np.intp).reshape(-1, 2).T)
+    cells = float_cell_rows(np.concatenate([claw.values[ij], claw.stderr[ij]]))
+    n = len(chosen)
+    for k, (i, j, path) in enumerate(chosen):
         write_table(path, ["bin_left", "bin_right", "value", "stderr", "pairs"],
-                    [left, right, float_cells(claw.values[i, j]),
-                     float_cells(claw.stderr[i, j]),
+                    [left, right, cells[k], cells[n + k],
                      int_cells(claw.pair_counts[i, j])])
-        written.append(path)
-    return written
 
 
 def save_claw(claw: ConditionalLawMatrix, out_dir) -> list[Path]:

@@ -23,8 +23,14 @@ candidates with any negative intensity, which only inhibitory kernels
 produce.  A factorized model is simulated as the D x D kernel matrix it
 derives, which has the same law: ``(p_i * lambda_g)^+ = p_i * lambda_g^+``.
 
-Every run discards a stationarity burn-in of ``max(100 / min positive
-baseline, 10 s)`` (capped at 1000 s) before the reported session starts.
+Every run simulates a burn-in before the reported session starts and
+discards it: the longest kernel ``support(KERNEL_TRUNCATION_EPS)`` over
+``1 - rho``, with rho the branching radius, clipped to [10 s, 1000 s].  A
+process started empty approaches stationarity like
+``exp(-beta (1 - rho) t)`` and ``support(eps) ~ ln(alpha beta / eps) / beta``,
+so that is the time its deviation from stationarity needs to fall to about
+eps.  A model with no positive baseline never fires and burns nothing.  The
+session's metadata (``metadata.json`` of the CLI) records ``burn_in``.
 """
 
 from __future__ import annotations
@@ -92,11 +98,14 @@ class _History:
         self.n += 1
 
 
-def _burn_in(baseline: np.ndarray) -> float:
-    positive = baseline[baseline > 0]
-    if len(positive) == 0:
+def _burn_in(model: HawkesModel, radius: float) -> float:
+    """Seconds a process started empty needs to become stationary: the
+    longest kernel support over ``1 - radius``, within [10 s, BURN_IN_CAP];
+    0 for a model with no positive baseline, which never fires."""
+    if not np.any(model.baseline > 0):
         return 0.0
-    return min(max(100.0 / float(positive.min()), 10.0), BURN_IN_CAP)
+    memory = max(k.support(KERNEL_TRUNCATION_EPS) for row in model.kernels for k in row)
+    return float(min(max(memory / (1.0 - radius), 10.0), BURN_IN_CAP))
 
 
 def _finalize(times_per_comp: list[list[float]], dimension: int, horizon: float,
@@ -196,7 +205,10 @@ def simulate(model: HawkesModel, horizon: float, seed: int) -> MultivariateEvent
     """Simulate one session of length ``horizon`` seconds.
 
     Works for every flavor; a factorized model runs as its derived kernel
-    matrix.  Deterministic given ``(model, horizon, seed)``.
+    matrix.  The run starts empty at ``-burn_in``: the longest kernel
+    support over ``1 - branching_radius()``, within [10 s, 1000 s], recorded
+    in the session's ``meta["burn_in"]``.  Deterministic given
+    ``(model, horizon, seed)``.
     """
     if not (math.isfinite(horizon) and horizon > 0):
         raise ValueError(f"horizon must be finite and positive, got {horizon}")
@@ -204,7 +216,7 @@ def simulate(model: HawkesModel, horizon: float, seed: int) -> MultivariateEvent
     if radius >= 1.0:
         raise StabilityError(f"unstable model: branching radius {radius:.4f} >= 1")
 
-    burn = _burn_in(model.baseline)
+    burn = _burn_in(model, radius)
     times, candidates, clipped = _thin(model, horizon + burn, _BlockRng(seed))
     meta = {
         "seed": seed,

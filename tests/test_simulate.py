@@ -115,9 +115,58 @@ class TestThinning:
     def test_burn_in_recorded_and_session_clean(self):
         stream = simulate(poisson_model([1.0]), 100.0, seed=7)
         sess = stream.sessions[0]
-        assert sess.meta["burn_in"] == pytest.approx(100.0)
+        # a Poisson model has no memory: the 10 s floor
+        assert sess.meta["burn_in"] == 10.0
         assert sess.duration == 100.0
         assert all(np.all((t >= 0) & (t <= 100.0)) for t in sess.times)
+
+
+def exp_support(alpha, beta):
+    """``support(1e-8)`` of ``ExponentialKernel(alpha, beta)``."""
+    return np.log(abs(alpha) * beta / 1e-8) / beta
+
+
+class TestBurnIn:
+    """The burn-in is the longest kernel support over 1 - rho, within
+    [10 s, 1000 s], on the kernels and the rho the thinning loop uses."""
+
+    @pytest.mark.parametrize("model, expected", [
+        pytest.param(poisson_model([2.0, 0.5]), 10.0, id="poisson_floor"),
+        pytest.param(HawkesModel.linear([0.0], [[ExponentialKernel(0.5, 0.1)]]),
+                     0.0, id="no_baseline"),
+        pytest.param(HawkesModel.linear([1.0], [[ExponentialKernel(0.5, 0.1)]]),
+                     exp_support(0.5, 0.1) / 0.5, id="exponential"),
+        # support 632 s over 1 - 0.4
+        pytest.param(HawkesModel.linear([1.0], [[PowerLawKernel(0.004, 2.0, 0.01)]]),
+                     1000.0, id="power_law_cap"),
+        # derived kernels 0.4 * p_i * f_j: the longest is 0.6, not the
+        # base kernel's 0.4; rho = 0.4 * (0.5 * 1 + 0.5 * 3)
+        pytest.param(HawkesModel.factorized(1.0, ExponentialKernel(0.4, 1.0),
+                                            [1.0, 3.0], [0.5, 0.5]),
+                     exp_support(0.6, 1.0) / 0.2, id="factorized"),
+        # the inhibitory kernel is the longest; rho of the positive parts
+        # is 0.3, where the plain norms give 0.5
+        pytest.param(HawkesModel.linear(
+            [1.0, 1.0],
+            [[ExponentialKernel(0.3, 1.0), ExponentialKernel(-0.4, 0.5)],
+             [ExponentialKernel(0.4, 1.0), ExponentialKernel(0.3, 1.0)]],
+            flavor="positive_part"), exp_support(-0.4, 0.5) / 0.7, id="positive_part"),
+    ])
+    def test_recorded_burn_in(self, model, expected):
+        stream = simulate(model, 1.0, seed=21)
+        assert stream.sessions[0].meta["burn_in"] == pytest.approx(expected, rel=1e-12)
+
+    def test_slow_kernel_session_starts_stationary(self):
+        # mu 10, rho 0.5, beta 0.1: Lambda = 20/s, so a stationary 20 s
+        # window holds 400 events on average.  Started empty, the mean rate
+        # is 20 - 10 exp(-0.05 t); a 10 s burn-in would leave about 323
+        # in the window.  Var N(20) <= Lambda T / (1 - rho)^2 = 1600, so the
+        # mean of 8 seeds has sd <= 14.1 and the band is about 3.2 sd wide
+        # on either side.
+        model = HawkesModel.linear([10.0], [[ExponentialKernel(0.5, 0.1)]])
+        streams = [simulate(model, 20.0, seed) for seed in range(2101, 2109)]
+        assert streams[0].sessions[0].meta["burn_in"] > 300.0
+        assert 355.0 <= np.mean([s.total_counts[0] for s in streams]) <= 445.0
 
 
 class TestFactorized:
@@ -254,7 +303,7 @@ class TestReferenceIdentity:
         pytest.param(mixed_d2(), 1000.0, 36, _simulate_generic, id="mixed_d2"),
     ])
     def test_same_stream_as_reference(self, model, horizon, seed, reference):
-        total = horizon + thinning._burn_in(model.baseline)
+        total = horizon + thinning._burn_in(model, model.branching_radius())
         times, candidates, clipped = thinning._thin(
             model, total, thinning._BlockRng(seed))
         ref_times, ref_candidates, ref_clipped = reference(

@@ -140,6 +140,27 @@ class TestByteIdentity:
                     lambda out: report.emit_claw_curves(claw, sel, out, labels),
                     lambda out: oracles.emit_claw_curves(claw, sel, out, labels))
 
+    def test_signed_zeros_and_nan_in_one_law(self, tmp_path):
+        # the law writer formats each distinct bit pattern once: 0.0 and
+        # -0.0 compare and hash alike, and NaNs of either sign never do
+        grid = build_linlog_grid(h_min=1e-2, h_max=1.0, n_lin=3, n_log=5)
+        d, b = 2, grid.n_bins
+        cells = np.resize(np.array([0.0, -0.0, np.nan, -np.nan, 0.0, 1.5]), d * d * b)
+        claw = ConditionalLawMatrix(grid, cells.reshape(d, d, b),
+                                    -cells[::-1].reshape(d, d, b),
+                                    np.zeros((d, d, b), dtype=np.int64),
+                                    np.ones((d, b), dtype=np.int64),
+                                    np.array([0.0, -0.0]), 10.0)
+        files = _same_files(tmp_path / "all", lambda out: save_claw(claw, out),
+                            lambda out: oracles.save_claw(claw, out))
+        rows = [line.split(",") for line in files[0].read_text().splitlines()[1:]]
+        assert {r[2] for r in rows} == {"0.0", "-0.0", "nan", "1.5"}
+        assert {r[3] for r in rows} == {"0.0", "-0.0", "nan", "-1.5"}
+        sel = [(1, 1), (0, 0)]
+        _same_files(tmp_path / "diag",
+                    lambda out: report.emit_claw_curves(claw, sel, out),
+                    lambda out: oracles.emit_claw_curves(claw, sel, out))
+
     def test_empty_selection(self, tmp_path, law_and_estimate):
         claw, est = law_and_estimate
         assert report.emit_claw_curves(claw, [], tmp_path) == []
