@@ -10,17 +10,15 @@ one pass.  A file the bulk parser does not accept as it stands (anything
 outside the plain form ``_parse_bulk`` describes, or columns
 ``EventTable`` rejects) is read again by the row parser, which checks line
 by line and raises every ``ParseError`` with its message and line number.
-The two give the same table for every file the bulk parser accepts.  The
-text helpers here also read the level-I snapshot CSV of :mod:`.reconstruct`.
+The two give the same table for every file the bulk parser accepts.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import io
 from pathlib import Path
-from typing import ContextManager, TextIO
+from typing import TextIO
 
 import numpy as np
 
@@ -39,16 +37,6 @@ __all__ = [
 ]
 
 EVENT_HEADER = ["timestamp_us", "etype", "side", "volume", "price"]
-
-
-def _open_text(source) -> ContextManager[TextIO]:
-    """A text stream over a path, bytes or an open stream; closing it closes
-    a file opened here and leaves a caller's stream open."""
-    if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline="")
-    if isinstance(source, (bytes, bytearray)):
-        return io.StringIO(source.decode("utf-8"))
-    return contextlib.nullcontext(source)
 
 
 def _int_field(raw: str | None, key: str, line_no: int,

@@ -9,7 +9,6 @@ downstream.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -49,6 +48,10 @@ class ReportBundle:
 
 
 def write_manifest(out_dir, files, metadata: dict) -> Path:
+    # imported here: hashlib maps OpenSSL, which a report would otherwise
+    # hold through its solve
+    import hashlib
+
     out_dir = Path(out_dir)
     entries = []
     for p in sorted(set(Path(f) for f in files)):

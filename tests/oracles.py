@@ -16,8 +16,8 @@ time-rescaling check of simulated streams.  The former row-by-row CSV
 writers of laws, kernels and reports are the byte-level reference for the
 column-formatted table writer.  The former per-event CSV parser, with its
 row objects, is the reference for the error messages and line numbers of
-the table parser, the former per-event aggregation for the table's, and
-the former tie-nudging loop for its running-maximum form.  The former
+the table parser, and the former tie-nudging loop for its running-maximum
+form.  The former
 lin-log grid builder, which also took explicit steps, is the bit-level
 reference for the builder that derives them from the four sizes, and the
 former searchsorted bin lookup for the grid's formula-based one; the lag
@@ -31,7 +31,6 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from itertools import groupby
 from pathlib import Path
 from typing import TextIO
 
@@ -948,29 +947,6 @@ def read_event_csv(source) -> list[OrderEvent]:
     finally:
         if close:
             fh.close()
-
-
-def aggregate_simultaneous(events: list[OrderEvent]) -> list[OrderEvent]:
-    """Merge events sharing (timestamp, side, type) by summing volumes.
-
-    Simultaneous events on opposite sides, or of different types, are kept
-    separate.  Idempotent; input must be sorted by timestamp.
-    """
-    out: list[OrderEvent] = []
-    for ts, group_iter in groupby(events, key=lambda e: e.timestamp_us):
-        merged: dict[tuple[Side, EventType], OrderEvent] = {}
-        order: list[tuple[Side, EventType]] = []
-        for e in group_iter:
-            key = (e.side, e.etype)
-            if key in merged:
-                prev = merged[key]
-                merged[key] = OrderEvent(ts, e.etype, e.side,
-                                         prev.volume + e.volume, prev.price)
-            else:
-                merged[key] = e
-                order.append(key)
-        out.extend(merged[k] for k in order)
-    return out
 
 
 # The former lin-log grid builder, verbatim but for its name and its

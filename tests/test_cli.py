@@ -834,19 +834,16 @@ class TestColdStart:
     def test_parser_loads_no_command_layers(self):
         modules = modules_after("import hawkesflow.cli as c; c.build_parser()")
         assert loaded(modules, layers("simulate", "estimate", "whsolve",
-                                      "report", "acceptance",
-                                      "events.reconstruct", "events.stats")
+                                      "report", "acceptance", "events.stats")
                       + ["concurrent.futures"]) == []
         assert "numpy" in modules
 
-    def test_parser_loads_no_level1_records_or_flow_statistics(self):
-        # the level-I record layer sits whole in events.reconstruct and the
-        # flow statistics in events.stats, so parsing compiles neither
-        names = {"RawRecord", "RecordKind", "SNAPSHOT_HEADER",
-                 "read_snapshot_csv", "FlowStatistics"}
+    def test_parser_loads_no_flow_statistics(self):
+        # the flow statistics sit whole in events.stats, so parsing does not
+        # compile them
         modules = loaded(modules_after("import hawkesflow.cli as c; c.build_parser()"),
                          ["hawkesflow"])
-        defined = {}
+        defining = []
         for module in modules:
             path = Path(importlib.util.find_spec(module).origin)
             body = ast.parse(path.read_text(encoding="utf-8")).body
@@ -854,10 +851,15 @@ class TestColdStart:
             top = {getattr(node, "name", None) for node in body} | {
                 target.id for node in body for target in getattr(node, "targets", [])
                 if isinstance(target, ast.Name)}
-            if top & names:
-                defined[module] = sorted(top & names)
+            if "FlowStatistics" in top:
+                defining.append(module)
         assert len(modules) > 5
-        assert defined == {}
+        assert defining == []
+
+    def test_report_import_loads_no_openssl(self):
+        # hashlib maps libcrypto (~3.5 MB resident); the report layer imports
+        # it only to write its manifest, after the solve
+        assert "_hashlib" not in modules_after("import hawkesflow.report")
 
     def test_simulate_loads_no_estimation_layers(self, tmp_path, model_file):
         argv = ["simulate", "--model", str(model_file), "--horizon", "50",

@@ -11,11 +11,9 @@ from hawkesflow.events import (
     BinningScheme,
     EventTable,
     EventType,
-    RecordKind,
     Side,
     load_binning_scheme,
     read_event_csv,
-    read_snapshot_csv,
     save_binning_scheme,
     write_event_csv,
 )
@@ -24,8 +22,6 @@ import oracles
 from oracles import event_rows
 
 EVENT_HEADER = "timestamp_us,etype,side,volume,price\n"
-SNAP_HEADER = ("timestamp_us,kind,bid_price,bid_size,ask_price,ask_size,"
-               "trade_price,trade_volume,trade_side\n")
 
 
 class TestEventCsv:
@@ -280,32 +276,6 @@ class TestParserAgainstFormerParser:
         bulk = best(lambda: read_event_csv(path), 5)
         by_row = best(rows, 2)
         assert by_row >= 10 * bulk, f"bulk {bulk:.3f} s, row parser {by_row:.3f} s"
-
-
-class TestSnapshotCsv:
-    def test_quote_and_trade_rows(self):
-        body = ("0,Q,99,10,100,12,,,\n"
-                "50,T,,,,,100,3,a\n")
-        records = read_snapshot_csv(io.StringIO(SNAP_HEADER + body))
-        assert records[0].kind is RecordKind.QUOTE_SNAPSHOT
-        assert records[0].ask_size == 12
-        assert records[1].kind is RecordKind.TRADE
-        assert records[1].trade_side is Side.ASK
-        assert records[1].trade_volume == 3
-
-    def test_crossed_quotes_rejected(self):
-        body = "0,Q,101,10,100,12,,,\n"
-        with pytest.raises(ParseError, match="line 2.*crossed"):
-            read_snapshot_csv(io.StringIO(SNAP_HEADER + body))
-
-    def test_zero_trade_volume_rejected(self):
-        body = "0,Q,99,10,100,12,,,\n10,T,,,,,100,0,b\n"
-        with pytest.raises(ParseError, match="nonpositive volume"):
-            read_snapshot_csv(io.StringIO(SNAP_HEADER + body))
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ParseError, match="unknown record kind"):
-            read_snapshot_csv(io.StringIO(SNAP_HEADER + "0,X,99,10,100,12,,,\n"))
 
 
 class TestBinningScheme:

@@ -12,12 +12,10 @@ PUBLIC_NAMES = {
         "build_linlog_grid", "build_quadrature", "__version__"],
     "hawkesflow.events": [
         "BinningMode", "BinningScheme", "EventTable", "EventType", "FlowStatistics",
-        "MultivariateEventStream", "RawRecord", "RecordKind", "Session", "Side",
-        "load_binning_scheme", "read_event_csv", "read_snapshot_csv",
-        "save_binning_scheme", "write_event_csv", "ReconstructionDiagnostics",
-        "aggregate_simultaneous", "reconstruct_orders", "assign_components",
-        "combine_streams", "filter_session", "randomize_timestamps",
-        "flow_statistics"],
+        "MultivariateEventStream", "Session", "Side", "load_binning_scheme",
+        "read_event_csv", "save_binning_scheme", "write_event_csv",
+        "assign_components", "combine_streams", "filter_session",
+        "randomize_timestamps", "flow_statistics"],
     "hawkesflow.simulate": [
         "ExponentialKernel", "KernelSpec", "PowerLawKernel",
         "SumOfExponentialsKernel", "TabulatedKernel", "ZeroKernel",

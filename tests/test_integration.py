@@ -1,6 +1,6 @@
-"""End-to-end paths that cross module boundaries: snapshot reconstruction
-feeding the full-book estimator, simulator path equivalences, and the
-calibration of propagated kernel error bars.
+"""End-to-end paths that cross module boundaries: a full-book event table
+feeding the D = 12 estimator and its reports, simulator path equivalences,
+and the calibration of propagated kernel error bars.
 """
 
 import numpy as np
@@ -11,13 +11,11 @@ from hawkesflow.estimate import build_linlog_grid, estimate_conditional_law
 from hawkesflow.events import (
     BinningMode,
     BinningScheme,
-    RawRecord,
-    RecordKind,
+    EventTable,
+    EventType,
     Side,
-    aggregate_simultaneous,
     assign_components,
     flow_statistics,
-    reconstruct_orders,
 )
 from hawkesflow.report import emit_flow_report, emit_norm_tables
 from hawkesflow.simulate import (
@@ -30,56 +28,27 @@ from hawkesflow.simulate import (
 from hawkesflow.whsolve import build_quadrature, solve_wiener_hopf
 
 
-def synthetic_book_records(seed: int, n_steps: int = 4000):
-    """Random walk over level-I snapshots with interleaved trades."""
+def synthetic_book_events(seed: int, n_events: int = 4000) -> EventTable:
+    """Limits, cancels and trades on both sides of the best quotes, with
+    volumes of 1 to 14 and gaps of 50 us to 5 ms."""
     rng = np.random.default_rng(seed)
-    records = []
-    ts = 0
-    bid_p, ask_p = 100, 101
-    bid_s, ask_s = 20, 20
-    records.append(RawRecord(ts, RecordKind.QUOTE_SNAPSHOT, bid_price=bid_p,
-                             bid_size=bid_s, ask_price=ask_p, ask_size=ask_s))
-    for _ in range(n_steps):
-        ts += int(rng.integers(50, 5000))
-        side = Side.ASK if rng.random() < 0.5 else Side.BID
-        action = rng.random()
-        if side is Side.ASK:
-            price, size = ask_p, ask_s
-        else:
-            price, size = bid_p, bid_s
-        if action < 0.45:                       # limit
-            size += int(rng.integers(1, 15))
-        elif action < 0.8 and size > 1:         # cancel
-            size -= int(rng.integers(1, size))
-        else:                                   # trade eats into the queue
-            vol = int(rng.integers(1, max(size, 2)))
-            records.append(RawRecord(
-                ts, RecordKind.TRADE, trade_price=price, trade_volume=vol,
-                trade_side=side))
-            size -= vol
-            if size == 0:
-                size = int(rng.integers(5, 30))
-                price = price + 1 if side is Side.ASK else price - 1
-        if side is Side.ASK:
-            ask_p, ask_s = price, size
-        else:
-            bid_p, bid_s = price, size
-        if bid_p >= ask_p:  # keep the book uncrossed
-            bid_p = ask_p - 1
-        records.append(RawRecord(ts, RecordKind.QUOTE_SNAPSHOT,
-                                 bid_price=bid_p, bid_size=bid_s,
-                                 ask_price=ask_p, ask_size=ask_s))
-    return records
+    ts = np.cumsum(rng.integers(50, 5000, size=n_events))
+    etypes = rng.choice(3, size=n_events, p=[0.45, 0.35, 0.2])
+    asks = rng.random(n_events) < 0.5
+    volumes = rng.integers(1, 15, size=n_events)
+    etype = [EventType.LIMIT, EventType.CANCEL, EventType.TRADE]
+    return EventTable.from_rows(
+        (int(t), etype[e], Side.ASK if ask else Side.BID, int(v), 101 if ask else 100)
+        for t, e, ask, v in zip(ts, etypes, asks, volumes))
 
 
-class TestSnapshotToKernels:
+class TestFullBookToKernels:
     def test_full_book_pipeline(self, tmp_path):
-        records = synthetic_book_records(seed=73)
-        events = aggregate_simultaneous(reconstruct_orders(records))
-        assert len(events) > 3000
+        events = synthetic_book_events(seed=73)
         scheme = BinningScheme(BinningMode.FULL_BOOK, (4,))
         stream = assign_components(events, scheme)
         assert stream.dimension == 12
+        assert np.all(stream.total_counts > 0)
         assert stream.total_counts.sum() == len(events)
 
         grid = build_linlog_grid(h_min=1e-2, h_max=1.0, n_lin=5, n_log=30)
