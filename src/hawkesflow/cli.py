@@ -8,7 +8,8 @@ overrides the defaults.  Each RunConfig field is declared once: its flag is
 the field name with ``-`` for ``_`` and takes the type a config file must
 give it.  ``estimate``, ``report`` and ``robustness`` take every field,
 ``simulate`` only ``--seed`` and ``roundtrip`` none.  Exit codes: 0
-success, 1 acceptance failure, 2 usage or input error.
+success, 1 acceptance failure, 2 usage or input error, an ``OSError``
+reading or writing a file included.
 """
 
 from __future__ import annotations
@@ -180,19 +181,15 @@ def _ingest(paths: list[str], scheme: BinningScheme, duration: float | None
             [ev for _, ev in loaded])
 
 
-def _resolve_scheme(args) -> BinningScheme:
-    if getattr(args, "scheme", None):
-        return load_binning_scheme(args.scheme)
-    if getattr(args, "dimension", None):
-        return BinningScheme.canonical(args.dimension)
-    raise HawkesflowError("need --scheme or --dimension to map events to "
-                          "components")
-
-
 def _prepare_stream(args):
-    scheme = _resolve_scheme(args)
-    stream, events = _ingest(args.input, scheme, getattr(args, "duration", None))
-    return scheme, stream, events
+    if args.scheme:
+        scheme = load_binning_scheme(args.scheme)
+    elif args.dimension is not None:
+        scheme = BinningScheme.canonical(args.dimension)
+    else:
+        raise HawkesflowError("need --scheme or --dimension to map events to "
+                              "components")
+    return (scheme, *_ingest(args.input, scheme, args.duration))
 
 
 def _window(stream: MultivariateEventStream, config: RunConfig
@@ -439,7 +436,7 @@ def main(argv: list[str] | None = None) -> int:
         config = config.overlay(args)
         _echo_config(config)
         return args.func(args, config)
-    except (HawkesflowError, FileNotFoundError, ValueError) as exc:
+    except (HawkesflowError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -368,31 +368,22 @@ def estimate_conditional_law(stream: MultivariateEventStream,
         meta={"weighting": weighting, "sessions": len(stream.sessions)})
 
 
-def write_law_curves(claw: ConditionalLawMatrix, targets) -> list[Path]:
+def write_law_curves(claw: ConditionalLawMatrix,
+                     targets: list[tuple[int, int, Path]]) -> list[Path]:
     """Write the (i <- j) law for each ``(i, j, path)`` of ``targets`` as
-    ``bin_left, bin_right, value, stderr, pairs`` rows, one per bin.  A
-    target that raises does so after the files of the targets before it
-    are written."""
-    chosen = []
-    try:
-        chosen.extend(targets)
-    finally:
-        _write_laws(claw, chosen)
-    return [path for _, _, path in chosen]
-
-
-def _write_laws(claw: ConditionalLawMatrix, chosen: list) -> None:
+    ``bin_left, bin_right, value, stderr, pairs`` rows, one per bin."""
     edges = float_cells(claw.grid.edges)
     left, right = edges[:-1], edges[1:]
     # the values and standard errors of the chosen pairs only, each distinct
     # number formatted once: half of a sparse law's cells repeat -lam_i or 0.0
-    ij = tuple(np.array([(i, j) for i, j, _ in chosen], dtype=np.intp).reshape(-1, 2).T)
+    ij = tuple(np.array([(i, j) for i, j, _ in targets], dtype=np.intp).reshape(-1, 2).T)
     cells = float_cell_rows(np.concatenate([claw.values[ij], claw.stderr[ij]]))
-    n = len(chosen)
-    for k, (i, j, path) in enumerate(chosen):
+    n = len(targets)
+    for k, (i, j, path) in enumerate(targets):
         write_table(path, ["bin_left", "bin_right", "value", "stderr", "pairs"],
                     [left, right, cells[k], cells[n + k],
                      int_cells(claw.pair_counts[i, j])])
+    return [path for _, _, path in targets]
 
 
 def save_claw(claw: ConditionalLawMatrix, out_dir) -> list[Path]:

@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 EVENT_HEADER = ["timestamp_us", "etype", "side", "volume", "price"]
+# the headers a file may open with: the price column is optional
+_HEADERS = (EVENT_HEADER, EVENT_HEADER[:-1])
 
 
 def _int_field(raw: str | None, key: str, line_no: int,
@@ -53,16 +55,6 @@ def _int_field(raw: str | None, key: str, line_no: int,
     if not -2 ** 63 <= value < 2 ** 63:
         raise ParseError(f"field '{key}' is outside the int64 range: {raw!r}", line_no)
     return value
-
-
-def _check_header(header: list[str] | None, expected: list[str], optional_tail: int = 0):
-    if header is None:
-        return  # empty file
-    got = [h.strip() for h in header]
-    for n_opt in range(optional_tail + 1):
-        if got == expected[: len(expected) - n_opt]:
-            return
-    raise ParseError(f"unexpected header {got!r}, expected {expected!r}", 1)
 
 
 def read_event_csv(source) -> EventTable:
@@ -92,8 +84,11 @@ def _parse_rows(fh: TextIO) -> EventTable:
     """The row parser: each line checked in turn, so that an error names
     its line."""
     reader = csv.reader(fh)
-    header = next(reader, None)
-    _check_header(header, EVENT_HEADER, optional_tail=1)
+    header = next(reader, None)   # None for an empty file
+    if header is not None:
+        header = [h.strip() for h in header]
+        if header not in _HEADERS:
+            raise ParseError(f"unexpected header {header!r}, expected {EVENT_HEADER!r}", 1)
     ts_col, type_col, side_col, vol_col, price_col = [], [], [], [], []
     prev_ts = None
     for line_no, parts in enumerate(reader, start=2):
@@ -137,7 +132,7 @@ _SIDE_OF = np.full(256, 255, dtype=np.uint8)
 for _table, _codes in ((_TYPE_OF, TYPE_CODE), (_SIDE_OF, SIDE_CODE)):
     for _char, _code in _codes.items():
         _table[ord(_char)] = _code
-_BULK_HEADERS = (",".join(EVENT_HEADER).encode(), ",".join(EVENT_HEADER[:-1]).encode())
+_BULK_HEADERS = tuple(",".join(header).encode() for header in _HEADERS)
 # The bulk parser reads this many bytes of lines at a time, so that its
 # temporaries stay small.
 _BULK_BYTES = 1 << 20

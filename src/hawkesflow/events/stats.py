@@ -21,7 +21,8 @@ _MAX_LAG = 50  # longest lag of the trade-time autocorrelations
 class FlowStatistics:
     """Descriptive statistics of an event stream.
 
-    Duration histograms are raw bin counts on ``duration_edges``; volume
+    Duration histograms are raw bin counts on ``duration_edges``, so a row
+    of ``duration_counts`` sums to its component's number of durations; volume
     histogram maps signed volume (buy positive, sell negative) to count;
     autocorrelations are in trade time, index = lag.
     """
@@ -31,7 +32,6 @@ class FlowStatistics:
     duration_edges: np.ndarray
     duration_counts: np.ndarray          # (D, n_bins)
     pooled_duration_counts: np.ndarray   # (n_bins,)
-    n_durations: np.ndarray              # per component
     volume_histogram: dict[int, int] | None = None
     sign_autocorr: np.ndarray | None = None
     volume_autocorr: np.ndarray | None = None
@@ -94,7 +94,6 @@ def flow_statistics(stream: MultivariateEventStream,
     histograms = [_duration_histogram(d, duration_grid) for d in per_comp]
     duration_counts = np.array(histograms, np.int64).reshape(-1, duration_grid.n_bins)
     pooled_counts = _duration_histogram(pooled, duration_grid)
-    n_durations = np.array([len(d) for d in per_comp])
 
     lam = stream.total_counts / stream.total_time
 
@@ -120,7 +119,6 @@ def flow_statistics(stream: MultivariateEventStream,
         duration_edges=duration_grid.edges,
         duration_counts=duration_counts,
         pooled_duration_counts=pooled_counts,
-        n_durations=n_durations,
         volume_histogram=volume_histogram,
         sign_autocorr=sign_ac,
         volume_autocorr=vol_ac,

@@ -4,7 +4,8 @@ conditional-law curves, flow histograms.
 Everything is CSV plus one JSON manifest per bundle; numbers are printed in
 shortest round-trip form so emitted files are lossless and diff-stable.
 No images are rendered here: these files feed whatever plotting tool sits
-downstream.
+downstream.  A curve selection is checked whole before any file is
+written, and kernel curves need an estimate that carries standard errors.
 """
 
 from __future__ import annotations
@@ -89,31 +90,33 @@ def emit_norm_tables(est: KernelEstimate, labels: list[str], out_dir,
 
 
 def _curve_targets(prefix: str, what: str, selection, d: int,
-                   labels: list[str] | None, out_dir):
+                   labels: list[str] | None, out_dir) -> list[tuple[int, int, Path]]:
     """``(i, j, path)`` of each selected pair; a pair outside the dimension
-    raises when it is reached, after the pairs before it were written."""
+    raises before anything is written."""
     labels = labels or [str(i) for i in range(d)]
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    targets = []
     for i, j in selection:
         if not (0 <= i < d and 0 <= j < d):
             raise IndexError(f"{what} index ({i}, {j}) outside dimension {d}")
-        yield i, j, out_dir / f"{prefix}_curve_{labels[i]}_from_{labels[j]}.csv"
+        targets.append((i, j, out_dir / f"{prefix}_curve_{labels[i]}_from_{labels[j]}.csv"))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return targets
 
 
 def emit_kernel_curves(est: KernelEstimate, selection: list[tuple[int, int]],
                        out_dir, labels: list[str] | None = None) -> list[Path]:
-    """Per-pair kernel curves ``node, phi, stderr`` for log-axis plotting."""
+    """Per-pair kernel curves ``node, phi, stderr`` for log-axis plotting;
+    the estimate must carry its standard errors."""
+    if est.stderr is None:
+        raise ValueError("kernel curves need standard errors (compute_stderr=True)")
+    targets = _curve_targets("kernel", "kernel", selection, est.dimension, labels,
+                             out_dir)
     nodes = float_cells(est.quad.nodes)
-    no_stderr = ["0.0"] * len(nodes)
-    written = []
-    for i, j, path in _curve_targets("kernel", "kernel", selection, est.dimension,
-                                     labels, out_dir):
-        sd = no_stderr if est.stderr is None else float_cells(est.stderr[i, j])
+    for i, j, path in targets:
         write_table(path, ["node", "phi", "stderr"],
-                    [nodes, float_cells(est.values[i, j]), sd])
-        written.append(path)
-    return written
+                    [nodes, float_cells(est.values[i, j]), float_cells(est.stderr[i, j])])
+    return [path for _, _, path in targets]
 
 
 def emit_claw_curves(claw: ConditionalLawMatrix,

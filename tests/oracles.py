@@ -41,7 +41,6 @@ from scipy.signal import fftconvolve
 from hawkesflow.errors import ParseError
 from hawkesflow.estimate import ConditionalLawMatrix, LinLogGrid
 from hawkesflow.events import EventType, FlowStatistics, Side
-from hawkesflow.events.io import EVENT_HEADER, _check_header
 from hawkesflow.events.types import _FULL_BOOK_TYPE_ORDER, _SIDE_ORDER
 from hawkesflow.simulate import (
     HawkesModel,
@@ -908,6 +907,19 @@ def _int_field(row: dict, key: str, line_no: int, required: bool = True) -> int 
         return int(raw)
     except ValueError:
         raise ParseError(f"field '{key}' is not an integer: {raw!r}", line_no)
+
+
+EVENT_HEADER = ["timestamp_us", "etype", "side", "volume", "price"]
+
+
+def _check_header(header: list[str] | None, expected: list[str], optional_tail: int = 0):
+    if header is None:
+        return  # empty file
+    got = [h.strip() for h in header]
+    for n_opt in range(optional_tail + 1):
+        if got == expected[: len(expected) - n_opt]:
+            return
+    raise ParseError(f"unexpected header {got!r}, expected {expected!r}", 1)
 
 
 def read_event_csv(source) -> list[OrderEvent]:

@@ -5,10 +5,13 @@ per criterion (run pytest with ``-s`` to see them).  The suite is shared
 with the ``roundtrip`` CLI subcommand.
 """
 
+import dataclasses
 import re
 
+import numpy as np
 import pytest
 
+from hawkesflow import whsolve
 from hawkesflow.acceptance import AcceptanceSuite
 
 # Every check of every criterion, in order: label and target band as the
@@ -80,6 +83,20 @@ def test_criterion_4_factorized_collapse(results):
 
 def test_criterion_5_inhibition_propagation(results):
     _assert_criterion(results[5])
+
+
+def test_criterion_5_fails_when_negativity_does_not_propagate(monkeypatch):
+    solve = whsolve.solve_wiener_hopf
+
+    def nonnegative_solve(*args, **kwargs):
+        est = solve(*args, **kwargs)
+        return dataclasses.replace(est, values=np.abs(est.values))
+
+    monkeypatch.setattr(whsolve, "solve_wiener_hopf", nonnegative_solve)
+    (result,) = AcceptanceSuite().run([5])
+    assert not result.passed
+    assert "  BAD runs with a negative solved kernel value: 0 target [20.0, inf]" \
+        in result.checks
 
 
 def test_criterion_6_solver_exactness(results):

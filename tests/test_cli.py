@@ -472,6 +472,33 @@ class TestUsageErrors:
                      "--out", str(tmp_path / "x")])
         assert code == 2
 
+    def test_dimension_zero_is_checked_as_given(self, tmp_path, model_file, capsys):
+        sim = run_simulate(tmp_path, model_file, horizon=200.0)
+        capsys.readouterr()
+        code = main(["estimate", "--input", str(sim / "events.csv"),
+                     "--dimension", "0", "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "error: canonical scheme needs dimension >= 1" in capsys.readouterr().err
+
+
+    def test_input_directory_exits_2(self, tmp_path, model_file, capsys):
+        sim = run_simulate(tmp_path, model_file, horizon=200.0)
+        capsys.readouterr()
+        code = main(["estimate", "--input", str(sim), "--dimension", "1",
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "error: [Errno 21] Is a directory" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_out_below_a_file_exits_2(self, tmp_path, model_file, capsys):
+        sim = run_simulate(tmp_path, model_file, horizon=200.0)
+        capsys.readouterr()
+        code = main(["estimate", "--input", str(sim / "events.csv"), "--dimension", "1",
+                     "--out", str(sim / "events.csv" / "est"),
+                     "--h-max", "2.0", "--n-log", "50"])
+        assert code == 2
+        assert "error: [Errno 20] Not a directory" in capsys.readouterr().err
+
 
 class TestRoundtripCommand:
     def test_single_criterion_passes(self, capsys):

@@ -3,7 +3,10 @@
 ``pair_counts`` and ``admissible`` must be integer-identical to the former
 sorted-search counter and to brute-force counting by the bin definition.
 Timestamps are whole microseconds, so on the 20 us linear step many lags
-land exactly on bin edges, where float rounding decides the bin.
+land exactly on bin edges, where float rounding decides the bin.  Two
+metamorphic identities need no oracle: the counts of two streams combined
+as sessions are the sums of their counts, and scaling every time and the
+grid by a power of two leaves the counts as they are.
 """
 
 from unittest import mock
@@ -14,7 +17,7 @@ from hypothesis import event, given, strategies as st
 
 from hawkesflow import estimate as claw
 from hawkesflow.estimate import build_linlog_grid, estimate_conditional_law
-from hawkesflow.events import MultivariateEventStream, Session
+from hawkesflow.events import MultivariateEventStream, Session, combine_streams
 from hawkesflow.events.types import MICROSECOND
 from oracles import brute_force_pair_counts, session_pair_counts
 
@@ -62,8 +65,9 @@ def assert_identical(stream, grid, weighting="events", workers=1):
 
 
 @st.composite
-def streams(draw):
-    d = draw(st.integers(1, 3))
+def streams(draw, d=None):
+    if d is None:
+        d = draw(st.integers(1, 3))
     tick = draw(st.sampled_from([1, 20, 1000]))       # us between timestamps
     sessions, durations = [], []
     for _ in range(draw(st.integers(1, 3))):
@@ -178,3 +182,35 @@ class TestPairCountIdentity:
                                 [1000, 1000, 100])
         law = assert_identical(stream, grid)
         assert law.pair_counts.sum() == 0
+
+
+class TestMetamorphic:
+    """Identities between the counts of related streams, each exact."""
+
+    @given(pair=st.integers(1, 3).flatmap(lambda d: st.tuples(streams(d), streams(d))),
+           grid=st.sampled_from(sorted(GRIDS)))
+    def test_session_split_adds_counts(self, pair, grid):
+        grid = GRIDS[grid]
+        a, b = (estimate_conditional_law(s, grid) for s in pair)
+        both = estimate_conditional_law(combine_streams(list(pair)), grid)
+        assert np.array_equal(both.pair_counts, a.pair_counts + b.pair_counts)
+        assert np.array_equal(both.admissible, a.admissible + b.admissible)
+
+    @given(stream=streams(), grid=st.sampled_from(sorted(GRIDS)),
+           k=st.sampled_from([-3, 1, 10]))
+    def test_time_scaling_by_a_power_of_two(self, stream, grid, k):
+        # scaling by 2**k is exact in binary floating point, so every lag
+        # keeps its bin and every rate scales exactly
+        grid = GRIDS[grid]
+        c = 2.0 ** k
+        scaled_grid = build_linlog_grid(h_min=grid.h_min * c, h_max=grid.h_max * c,
+                                        n_lin=grid.n_lin, n_log=grid.n_log)
+        scaled = MultivariateEventStream(stream.dimension, tuple(
+            Session(s.session_id, s.duration * c, tuple(t * c for t in s.times))
+            for s in stream.sessions))
+        law = estimate_conditional_law(stream, grid)
+        law_c = estimate_conditional_law(scaled, scaled_grid)
+        assert np.array_equal(law_c.pair_counts, law.pair_counts)
+        assert np.array_equal(law_c.admissible, law.admissible)
+        assert np.array_equal(law_c.values, law.values / c)
+        assert np.array_equal(law_c.stderr, law.stderr / c)

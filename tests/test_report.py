@@ -96,8 +96,9 @@ class TestKernelCurves:
         assert emit_kernel_curves(small_estimate, [], tmp_path) == []
 
     def test_invalid_index_rejected(self, tmp_path, small_estimate):
-        with pytest.raises(IndexError):
-            emit_kernel_curves(small_estimate, [(5, 0)], tmp_path)
+        with pytest.raises(IndexError, match=r"kernel index \(5, 0\)"):
+            emit_kernel_curves(small_estimate, [(0, 0), (5, 0)], tmp_path / "rep")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestFlowReport:

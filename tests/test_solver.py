@@ -551,6 +551,21 @@ class TestNegativityPropagation:
         assert (i, j) == (0, 0)
         assert 0.03 < node < 0.2  # near the carved-out negative window
 
+    def test_kernels_that_stay_nonnegative_are_reported(self, monkeypatch):
+        # a solve that loses the negativity is a finding, not a crash
+        solve = solver.solve_wiener_hopf
+
+        def nonnegative_solve(*args, **kwargs):
+            est = solve(*args, **kwargs)
+            return dataclasses.replace(est, values=np.abs(est.values))
+
+        monkeypatch.setattr(solver, "solve_wiener_hopf", nonnegative_solve)
+        report = verify_negativity_propagation(self.neg_claw(), build_quadrature())
+        assert report.hypothesis_holds
+        assert not report.negative_found
+        assert report.min_value >= 0.0
+        assert report.estimate is not None
+
     def test_independent_20_node_dense_solve_agrees_on_sign(self):
         # oracle: uniform-grid Nystrom solve written out longhand
         claw = self.neg_claw()
