@@ -4,8 +4,9 @@ conditional-law curves, flow histograms.
 Everything is CSV plus one JSON manifest per bundle; numbers are printed in
 shortest round-trip form so emitted files are lossless and diff-stable.
 No images are rendered here: these files feed whatever plotting tool sits
-downstream.  A curve selection is checked whole before any file is
-written, and kernel curves need an estimate that carries standard errors.
+downstream.  A curve selection and its labels are checked whole before
+any file is written, and kernel curves need an estimate that carries
+standard errors.
 """
 
 from __future__ import annotations
@@ -91,9 +92,12 @@ def emit_norm_tables(est: KernelEstimate, labels: list[str], out_dir,
 
 def _curve_targets(prefix: str, what: str, selection, d: int,
                    labels: list[str] | None, out_dir) -> list[tuple[int, int, Path]]:
-    """``(i, j, path)`` of each selected pair; a pair outside the dimension
-    raises before anything is written."""
+    """``(i, j, path)`` of each selected pair; labels other than ``d``
+    distinct names, or a pair outside the dimension, raise before anything
+    is written."""
     labels = labels or [str(i) for i in range(d)]
+    if len(labels) != d or len(set(labels)) != d:
+        raise ValueError(f"{what} curves need {d} distinct labels, got {labels!r}")
     out_dir = Path(out_dir)
     targets = []
     for i, j in selection:

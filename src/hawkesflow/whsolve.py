@@ -24,15 +24,18 @@ component (its law is zero, so its rows and columns of A are the identity),
 M = diag(s) A diag(s)^-1 is symmetric.  M is written one row block of A
 (source j) at a time into the one n x n buffer of the solve, n = D Q, which
 is then overwritten with M's inverse by recursive symmetric 2x2 block
-elimination, mostly matrix products, and scaled back to A^-1.  A is never
-held whole: a second pass over its row blocks gives ||A||_1 and the
-products with A that the residual checks below need, so the solve peaks at
-about 1.35 n^2 doubles for D = 12.  Nothing pivots across blocks, and M
-can be indefinite (it is on a full order book), so a leading block may be
-near singular while A is not.  The block inverse is kept only when its
-solution's relative residual and that of A (A^-1 1) = 1 are both at most
-1e-10; otherwise, or when a leaf block is exactly singular, A is built
-whole and inverted again with LAPACK's pivoted inverse.
+elimination, mostly matrix products, and scaled back to A^-1.  Its Schur
+updates form only the lower block triangle of each symmetric product, a
+few hundred rows at a time, so no product needs a temporary of its own
+size.  A is never held whole: a second pass over its row blocks gives
+||A||_1 and the products with A that the residual checks below need, so the
+solve peaks at about 1.21 n^2 doubles for D = 12 and 1.12 n^2 for D = 24.
+Nothing pivots across blocks, and M can be indefinite (it is on a full
+order book), so a leading block may be near singular while A is not.  The
+block inverse is kept only when its solution's relative residual and that
+of A (A^-1 1) = 1 are both at most 1e-10; otherwise, or when a leaf block
+is exactly singular, A is built whole and inverted again with LAPACK's
+pivoted inverse.
 """
 
 from __future__ import annotations
@@ -65,6 +68,9 @@ CONDITION_LIMIT = 1e12
 # Blocks of at most this many rows go to LAPACK; on 2 OpenBLAS threads 64 was
 # the fastest leaf for 322 and 1932 unknowns and on par with 256 for 3864.
 _BLOCK_LEAF = 64
+# Symmetric Schur products of at most this many rows are formed whole, and
+# larger ones subtract their off-diagonal block this many rows at a time.
+_SCHUR_LEAF = 256
 _BLOCK_RESIDUAL_LIMIT = 1e-10
 
 
@@ -164,6 +170,24 @@ def _row_blocks(claw: ConditionalLawMatrix, quad: QuadratureGrid,
         yield j, rows
 
 
+def _subtract_symmetric_product(c: np.ndarray, a: np.ndarray,
+                                b: np.ndarray) -> None:
+    """``c -= a @ b`` in place for a product known to be symmetric, without
+    a temporary the size of ``c``: split at half the rows, only the lower
+    block triangle is formed, the off-diagonal block in pieces of at most
+    ``_SCHUR_LEAF`` rows, and then copied into the upper one."""
+    n = len(c)
+    if n <= _SCHUR_LEAF:
+        c -= a @ b
+        return
+    h = n // 2
+    _subtract_symmetric_product(c[:h, :h], a[:h], b[:, :h])
+    _subtract_symmetric_product(c[h:, h:], a[h:], b[:, h:])
+    for r in range(h, n, _SCHUR_LEAF):
+        c[r:r + _SCHUR_LEAF, :h] -= a[r:r + _SCHUR_LEAF] @ b[:, :h]
+    c[:h, h:] = c[h:, :h].T
+
+
 def _block_inverse(m: np.ndarray, leaf: int = _BLOCK_LEAF) -> np.ndarray:
     """Overwrite the symmetric ``m`` with its inverse and return it, by 2x2
     block elimination split at half the rows, down to ``leaf`` rows for
@@ -179,10 +203,10 @@ def _block_inverse(m: np.ndarray, leaf: int = _BLOCK_LEAF) -> np.ndarray:
     _block_inverse(x11, leaf)
     # t^T waits in block 21; no product's output overlaps its inputs in memory
     t_tr = np.matmul(a12.T, x11, out=a21)
-    a22 -= t_tr @ a12
+    _subtract_symmetric_product(a22, t_tr, a12)
     _block_inverse(a22, leaf)
     np.negative(np.matmul(t_tr.T, a22, out=a12), out=a12)
-    x11 -= a12 @ t_tr
+    _subtract_symmetric_product(x11, a12, t_tr)
     a21[...] = a12.T
     return m
 

@@ -235,3 +235,25 @@ class TestClawCurves:
         with pytest.raises(IndexError, match=r"law index \(0, 2\)"):
             report.emit_claw_curves(claw, [(0, 0), (0, 2)], tmp_path / "rep")
         assert list(tmp_path.iterdir()) == []
+
+
+def _emit_curves(kind, simulated, out, labels):
+    claw, est = simulated
+    if kind == "claw":
+        return report.emit_claw_curves(claw, [(1, 0)], out, labels)
+    return report.emit_kernel_curves(est, [(1, 0)], out, labels)
+
+
+@pytest.mark.parametrize("kind", ["claw", "kernel"])
+class TestCurveLabels:
+    def test_short_label_list_rejected(self, tmp_path, simulated, kind):
+        with pytest.raises(ValueError, match="2 distinct labels"):
+            _emit_curves(kind, simulated, tmp_path / "rep", ["a"])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_repeated_label_rejected(self, tmp_path, simulated, kind):
+        # two pairs would share one file name and the later overwrite the
+        # earlier
+        with pytest.raises(ValueError, match="2 distinct labels"):
+            _emit_curves(kind, simulated, tmp_path / "rep", ["a", "a"])
+        assert list(tmp_path.iterdir()) == []
