@@ -1,8 +1,9 @@
 """Command-line pipeline: simulate, estimate, report, roundtrip, robustness.
 
-Grid and quadrature defaults are the standard ones (1 ms / 2e4 s lin-log
-law grid with 50+1500 bins; 0.5 ms / 0.5 s quadrature with 80+80 bins) and
-are echoed at startup so every run is self-documenting.  A saved config
+Grid and quadrature defaults are the standard ones (1 ms / ~10 s lin-log
+law grid with 50+822 bins, the first 872 bins of the full-tail grid
+``--h-max 20000 --n-log 1500``; 0.5 ms / 0.5 s quadrature with 80+80 bins)
+and are echoed at startup so every run is self-documenting.  A saved config
 file re-executes a run identically: flags override the config, which
 overrides the defaults.  Each RunConfig field is declared once: its flag is
 the field name with ``-`` for ``_`` and takes the type a config file must
@@ -114,6 +115,20 @@ def _echo_config(config: RunConfig) -> None:
     print("run configuration:")
     for key, value in sorted(asdict(config).items()):
         print(f"  {key} = {value}")
+
+
+def _check_law_reach(config: RunConfig) -> None:
+    """Refuse a quadrature that reaches past the law grid before any event
+    file is read; the solver would find it only after the whole count.  The
+    quadrature is built first, so that a bad quadrature range is named as
+    such."""
+    quad = build_quadrature(x_min=config.x_min, x_max=config.x_max,
+                            n_lin=config.quad_n_lin, n_log=config.quad_n_log)
+    if quad.x_max > config.h_max * (1 + 1e-12):
+        raise HawkesflowError(
+            f"--x-max {config.x_max} reaches past the law grid's --h-max "
+            f"{config.h_max}; raise --h-max to at least --x-max, or give the "
+            f"full-tail grid with --h-max 20000 --n-log 1500")
 
 
 def _events_from_stream(stream: MultivariateEventStream,
@@ -435,6 +450,8 @@ def main(argv: list[str] | None = None) -> int:
         config = RunConfig.load(args.config) if args.config else RunConfig()
         config = config.overlay(args)
         _echo_config(config)
+        if args.command != "simulate":
+            _check_law_reach(config)
         return args.func(args, config)
     except (HawkesflowError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -25,9 +25,14 @@ __all__ = [
     "QUADRATURE_DEFAULTS",
 ]
 
-# Default conditional-law histogram: 50 linear bins up to 1 ms, 1500
-# log bins up to 2e4 s.
-CLAW_GRID_DEFAULTS = dict(h_min=1e-3, h_max=2e4, n_lin=50, n_log=1500)
+# Default conditional-law histogram: 50 linear bins up to 1 ms, 822 log
+# bins up to ~10 s.  It is the first 872 bins of the full-tail grid
+# (h_max=2e4, n_log=1500), bit for bit: h_max is that grid's edge 872, the
+# first at or beyond 20 x the default quadrature reach, so both grids share
+# delta_log.  The solver reads only lags below x_max; the tail past it
+# feeds the law files alone.
+CLAW_GRID_DEFAULTS = dict(h_min=1e-3, h_max=10.022231672756412, n_lin=50,
+                          n_log=822)
 
 # Default kernel quadrature: 80 linear bins up to 0.5 ms, 80 log bins
 # up to 0.5 s.

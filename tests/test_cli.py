@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -387,6 +388,136 @@ class TestReportCommand:
             for t in (read_event_csv(s / "events.csv") for s in sims))
         assert column_total("component_summary.csv") == in_window
         assert column_total("volume_histogram.csv") == in_window
+
+
+FULL_TAIL = ["--h-max", "20000", "--n-log", "1500"]
+
+
+@pytest.fixture(scope="class")
+def law_reach_runs(tmp_path_factory):
+    """``estimate`` and ``report --curves all`` on one D = 2 stream, on the
+    default law grid and on the full-tail grid, and ``estimate`` replayed
+    from the full-tail run's config.json."""
+    root = tmp_path_factory.mktemp("reach")
+    exp = ExponentialKernel
+    model = HawkesModel.linear([0.5, 0.3], [[exp(0.3, 10.0), exp(0.1, 5.0)],
+                                            [exp(0.2, 5.0), exp(0.3, 20.0)]])
+    save_model(model, root / "model.json")
+    sim = run_simulate(root, root / "model.json", seed=8, horizon=2000.0)
+    common = ["--input", str(sim / "events.csv"), "--dimension", "2"]
+    runs = {}
+    for grid, extra in (("default", []), ("full", FULL_TAIL)):
+        runs["est", grid] = root / f"est_{grid}"
+        runs["rep", grid] = root / f"rep_{grid}"
+        assert main(["estimate", *common, "--out", str(runs["est", grid]), *extra]) == 0
+        assert main(["report", *common, "--out", str(runs["rep", grid]),
+                     "--curves", "all", *extra]) == 0
+    runs["replay"] = root / "replay"
+    assert main(["estimate", *common, "--out", str(runs["replay"]), "--config",
+                 str(runs["est", "full"] / "config.json")]) == 0
+    return runs
+
+
+def law_files(directory: Path) -> list[str]:
+    return sorted(p.name for p in directory.iterdir()
+                  if p.name.startswith("claw_") and p.suffix == ".csv")
+
+
+class TestLawReach:
+    """The default law grid is the full-tail grid cut at its first edge past
+    10 s: the solver reads only lags below x_max, so the kernel does not
+    change, and each law file is a prefix of the full-tail one."""
+
+    def test_kernel_and_report_tables_byte_identical(self, law_reach_runs):
+        runs = law_reach_runs
+        kernel = runs["est", "default"] / "kernel"
+        names = sorted(p.name for p in kernel.iterdir())
+        assert "norms.csv" in names
+        assert sorted(p.name for p in (runs["est", "full"] / "kernel").iterdir()) == names
+        for name in names:
+            assert (kernel / name).read_bytes() \
+                == (runs["est", "full"] / "kernel" / name).read_bytes(), name
+        # every report file but the law curves, the manifest and the config
+        rep, full = runs["rep", "default"], runs["rep", "full"]
+        names = sorted(p.name for p in rep.iterdir())
+        assert "norms.csv" in names
+        assert sorted(p.name for p in full.iterdir()) == names
+        for name in names:
+            if name.startswith("claw_") or name in ("report_manifest.json",
+                                                    "config.json"):
+                continue
+            assert (rep / name).read_bytes() == (full / name).read_bytes(), name
+
+    @pytest.mark.parametrize("command,subdir", [("est", "claw"), ("rep", "")])
+    def test_law_files_are_prefixes(self, law_reach_runs, command, subdir):
+        cut = law_reach_runs[command, "default"] / subdir
+        full = law_reach_runs[command, "full"] / subdir
+        names = law_files(cut)
+        assert len(names) == 4 and law_files(full) == names
+        for name in names:
+            short, long = (cut / name).read_bytes(), (full / name).read_bytes()
+            assert long.startswith(short), name
+            # a header and one row per bin
+            assert (short.count(b"\n"), long.count(b"\n")) == (873, 1551), name
+
+    def test_claw_manifest_differs_only_in_grid_sizes(self, law_reach_runs):
+        cut, full = (json.loads((law_reach_runs["est", grid] / "claw"
+                                 / "claw_manifest.json").read_text())
+                     for grid in ("default", "full"))
+        assert {k for k in cut["grid"] if cut["grid"][k] != full["grid"][k]} \
+            == {"h_max", "n_log"}
+        assert (cut["grid"]["n_log"], full["grid"]["n_log"]) == (822, 1500)
+        # the admissible counts run over the bins, so they are cut too
+        for short, long in zip(cut.pop("admissible"), full.pop("admissible"), strict=True):
+            assert long[:len(short)] == short
+        del cut["grid"], full["grid"]
+        assert cut == full
+
+    def test_former_config_replays_full_tail(self, law_reach_runs):
+        runs = law_reach_runs
+        config = json.loads((runs["est", "full"] / "config.json").read_text())
+        assert (config["h_max"], config["n_log"]) == (20000.0, 1500)
+        assert sorted(config) == sorted(asdict(RunConfig()))
+        for name in [*law_files(runs["est", "full"] / "claw"), "claw_manifest.json"]:
+            assert (runs["replay"] / "claw" / name).read_bytes() \
+                == (runs["est", "full"] / "claw" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("command", ["estimate", "report", "robustness"])
+    def test_x_max_past_h_max_exits_2_before_reading(self, tmp_path, capsys,
+                                                     command):
+        # the input does not exist: the reach is checked before it is read
+        out = tmp_path / "o"
+        code = main([command, "--input", str(tmp_path / "none.csv"),
+                     "--dimension", "1", "--out", str(out), "--x-max", "20"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--x-max 20.0" in err and "--h-max 10.022231672756412" in err
+        assert "--h-max 20000 --n-log 1500" in err
+        assert not out.exists()
+
+    def test_x_max_past_h_max_in_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"x_max": 20, "h_max": 2.0}))
+        out = tmp_path / "o"
+        code = main(["estimate", "--input", str(tmp_path / "none.csv"),
+                     "--dimension", "1", "--out", str(out), "--config", str(cfg)])
+        assert code == 2
+        assert "--x-max 20 reaches past the law grid's --h-max 2.0" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_flag_widens_grid_of_config(self, tmp_path, model_file):
+        # the reach is checked on the final config, not on the file alone
+        sim = run_simulate(tmp_path, model_file, horizon=200.0)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"x_max": 20}))
+        assert RunConfig.load(cfg).x_max == 20
+        out = tmp_path / "o"
+        assert main(["estimate", "--input", str(sim / "events.csv"),
+                     "--dimension", "1", "--out", str(out), "--config", str(cfg),
+                     "--h-max", "20000"]) == 0
+        config = json.loads((out / "config.json").read_text())
+        assert (config["x_max"], config["h_max"]) == (20, 20000.0)
 
 
 class TestRobustnessCommand:

@@ -5,17 +5,23 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from hawkesflow.grids import build_linlog_grid, build_quadrature, trapezoid_weights
+from hawkesflow.grids import (QUADRATURE_DEFAULTS, build_linlog_grid, build_quadrature,
+                              trapezoid_weights)
 from oracles import build_linlog_grid_with_steps, searchsorted_bin_index
 from test_pair_counts import GRIDS
 
 
 class TestLinLogGrid:
     def test_default_grid_layout(self):
+        # the default is the full-tail grid's first 872 bins, bit for bit,
+        # cut at its first edge at or beyond 20 x the quadrature reach
         grid = build_linlog_grid()
-        assert grid.n_bins == 1550
+        full = build_linlog_grid(h_max=2e4, n_log=1500)
+        assert grid.n_bins == 872
+        assert grid.edges.tobytes() == full.edges[:873].tobytes()
+        assert grid.delta_log == full.delta_log
+        assert grid.edges[-2] < 20 * QUADRATURE_DEFAULTS["x_max"] <= grid.edges[-1]
         assert grid.edges[0] == 0.0
-        assert grid.edges[-1] == pytest.approx(2e4, rel=1e-9)
         # linear part: 50 bins of width 2e-5 ending at 1 ms
         assert grid.edges[50] == pytest.approx(1e-3, rel=1e-12)
         assert np.allclose(np.diff(grid.edges[:51]), 2e-5)
@@ -76,9 +82,11 @@ class TestLinLogGrid:
         assert again.to_dict() == grid.to_dict()
 
 
-# the program's grids: the default law grid, the benchmark's book12 grid,
-# the acceptance suite's grids and the default quadrature
-PROGRAM_GRIDS = [(1e-3, 2e4, 50, 1500), (1e-3, 5.0, 50, 300),
+# the program's grids: the default law grid, the full-tail law grid, the
+# benchmark's book12 grid, the acceptance suite's grids and the default
+# quadrature
+PROGRAM_GRIDS = [(1e-3, 10.022231672756412, 50, 822), (1e-3, 2e4, 50, 1500),
+                 (1e-3, 5.0, 50, 300),
                  (1e-3, 10.0, 50, 300), (1e-3, 5.0, 50, 250),
                  (0.5e-3, 0.5, 80, 80)]
 
@@ -203,14 +211,30 @@ class TestQuadrature:
         assert approx == pytest.approx(exact, rel=1e-4)
 
 
+def bins_per_decade(grid, first: int, last: int) -> list[tuple]:
+    """``(lo, hi, bins)`` of each decade from ``10**first`` to ``10**last``
+    s: the bins that lie wholly inside it."""
+    out = []
+    for k in range(first, last):
+        lo, hi = 10.0 ** k, 10.0 ** (k + 1)
+        out.append((lo, hi, int(np.sum((grid.edges[:-1] >= lo) & (grid.edges[1:] <= hi)))))
+    return out
+
+
 class TestMassLocation:
+    # the laws' mass spans many orders of magnitude in lag; a law grid must
+    # spend bins across all of them
+
     def test_default_grid_resolves_every_decade(self):
-        # the laws' mass spans many orders of magnitude in lag; the default
-        # grid must spend bins across all of them
+        # from 1 ms to its reach of ~10 s
         grid = build_linlog_grid()
-        decades = [(10.0 ** k, 10.0 ** (k + 1)) for k in range(-3, 4)]
-        for lo, hi in decades:
-            n = int(np.sum((grid.edges[:-1] >= lo) & (grid.edges[1:] <= hi)))
+        for lo, hi, n in bins_per_decade(grid, -3, 1):
             assert n >= 100, (lo, hi, n)
         # and the sub-millisecond regime is linearly resolved
+        assert np.sum(grid.edges < 1e-3) == 50
+
+    def test_full_tail_grid_resolves_every_decade(self):
+        grid = build_linlog_grid(h_max=2e4, n_log=1500)
+        for lo, hi, n in bins_per_decade(grid, -3, 4):
+            assert n >= 100, (lo, hi, n)
         assert np.sum(grid.edges < 1e-3) == 50
