@@ -28,8 +28,11 @@ elimination, mostly matrix products, and scaled back to A^-1.  Its Schur
 updates form only the lower block triangle of each symmetric product, a
 few hundred rows at a time, so no product needs a temporary of its own
 size.  A is never held whole: a second pass over its row blocks gives
-||A||_1 and the products with A that the residual checks below need, so the
-solve peaks at about 1.21 n^2 doubles for D = 12 and 1.12 n^2 for D = 24.
+||A||_1 and the products with A that the residual checks below need.  The
+inverse is freed before that pass, once reduced to what the solve reads of
+it (A^-1 b, A^-1 1, the column sums of |A^-1| and the propagated variances),
+and the (Q, D, Q) law lookup index while M is inverted, so the solve peaks
+at about 1.11 n^2 doubles for D = 12 and 1.06 n^2 for D = 24.
 Nothing pivots across blocks, and M can be indefinite (it is on a full
 order book), so a leading block may be near singular while A is not.  The
 block inverse is kept only when its solution's relative residual and that
@@ -241,44 +244,65 @@ def _apply_system(claw: ConditionalLawMatrix, quad: QuadratureGrid,
     return ax, col_sums.max()
 
 
-def _invert(claw: ConditionalLawMatrix, quad: QuadratureGrid, b: np.ndarray):
-    """``(inv(A), inv(A) @ b, relative residual of that solution, ||A||_1)``,
-    or None when A is exactly singular; block inverse or pivoted fallback
-    as the module docstring sets out."""
+def _reduce_inverse(inv: np.ndarray, var_b: np.ndarray | None):
+    """``(||inv(A)||_1, inv(A)**2 @ var_b)``, squared entry by entry, from
+    ``inv`` = inv(A), which it overwrites; the second is None without var_b."""
+    inv_norm = np.abs(inv, out=inv).sum(axis=0).max()
+    return inv_norm, None if var_b is None else np.square(inv, out=inv) @ var_b
+
+
+def _invert(claw: ConditionalLawMatrix, quad: QuadratureGrid, b: np.ndarray,
+            var_b: np.ndarray | None):
+    """``(inv(A) @ b, inv(A)**2 @ var_b or None, relative residual of that
+    solution, exact condition number)``, the condition infinite and the rest
+    None when A is exactly singular; block inverse or pivoted fallback as
+    the module docstring sets out.  inv(A) is freed once reduced to these,
+    before the residual pass, and the lookup index once M is written: later
+    passes re-form it from its k = 0 slice, as row k of a law table starts
+    k (2 n_bins + 2) entries on."""
     q = quad.n_nodes
     n = claw.dimension * q
     columns = _row_block_columns(claw, quad)
+    columns0 = columns[:, :1].copy()
+    offsets = (2 * claw.grid.n_bins + 2) * np.arange(claw.dimension)[:, None]
     s = _symmetrizing_scale(claw.lam, quad)
     inv = np.empty((n, n))
     # M one row block at a time, each entry rounded as in (s_r A_rc) / s_c
     for j, rows in _row_blocks(claw, quad, columns, inv):
         rows *= s[j * q:(j + 1) * q, None]
         rows /= s
+    del columns, rows  # rows is a view of inv
     try:
         _block_inverse(inv)
+    except np.linalg.LinAlgError:
+        del inv
+    else:
         inv *= s
         inv /= s[:, None]
         sol = inv @ b
         ones = np.ones(n)
-        ax, a_norm = _apply_system(claw, quad, columns,
-                                   np.column_stack([sol, inv @ ones]))
+        x = np.column_stack([sol, inv @ ones])
+        inv_norm, var = _reduce_inverse(inv, var_b)
+        del inv
+        ax, a_norm = _apply_system(claw, quad, columns0 + offsets, x)
         residual = _relative_residual(ax[:, :-1], b)
         # written so that a NaN residual takes the fallback too
         if (residual <= _BLOCK_RESIDUAL_LIMIT and
                 _relative_residual(ax[:, -1], ones) <= _BLOCK_RESIDUAL_LIMIT):
-            return inv, sol, residual, a_norm
-    except np.linalg.LinAlgError:
-        pass
-    del inv
+            return sol, var, residual, a_norm * inv_norm
     a = np.empty((n, n))
-    for _ in _row_blocks(claw, quad, columns, a):
+    for _ in _row_blocks(claw, quad, columns0 + offsets, a):
         pass
+    del _  # its rows are a view of a
     try:
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError:
-        return None
+        return None, None, None, np.inf
     sol = inv @ b
-    return inv, sol, _relative_residual(a @ sol, b), np.linalg.norm(a, 1)
+    residual, a_norm = _relative_residual(a @ sol, b), np.linalg.norm(a, 1)
+    del a
+    inv_norm, var = _reduce_inverse(inv, var_b)
+    return sol, var, residual, a_norm * inv_norm
 
 
 def solve_wiener_hopf(claw: ConditionalLawMatrix,
@@ -299,13 +323,8 @@ def solve_wiener_hopf(claw: ConditionalLawMatrix,
     d = claw.dimension
     q = quad.n_nodes
     b = _at_nodes(claw, quad.nodes)
-    inverted = _invert(claw, quad, b)
-    if inverted is None:
-        condition = np.inf
-    else:
-        inv, sol, residual, a_norm = inverted
-        # |inv| in place: its 1-norm here, squared below for the stderr
-        condition = a_norm * np.abs(inv, out=inv).sum(axis=0).max()
+    var_b = _at_nodes(claw, quad.nodes, stderr=True) ** 2 if compute_stderr else None
+    sol, var, residual, condition = _invert(claw, quad, b, var_b)
     # written so that a NaN condition fails the gate too
     if not condition <= CONDITION_LIMIT:
         raise SolverError(
@@ -316,11 +335,7 @@ def solve_wiener_hopf(claw: ConditionalLawMatrix,
     # sol[:, i] stacks the row phi[i, k](x_m) over (k, m)
     values = sol.T.reshape(d, d, q)
 
-    stderr = None
-    if compute_stderr:
-        var_b = _at_nodes(claw, quad.nodes, stderr=True) ** 2
-        var = np.square(inv, out=inv) @ var_b
-        stderr = np.sqrt(np.maximum(var, 0.0)).T.reshape(d, d, q)
+    stderr = None if var is None else np.sqrt(np.maximum(var, 0.0)).T.reshape(d, d, q)
 
     norms = values @ quad.weights
     lam = claw.lam

@@ -118,6 +118,17 @@ def random_12d():
 
 
 @pytest.fixture(scope="module")
+def singular_leading_2d():
+    """The first component's block of A is singular to working precision
+    (condition ~1e19) while A is not: block elimination alone fails."""
+    grid = build_linlog_grid(h_min=1e-2, h_max=1.0, n_lin=5, n_log=20)
+    const = lambda c: (lambda t: np.full_like(t, c))
+    return ConditionalLawMatrix.from_function(
+        grid, [[const(-2.0), const(0.7)], [const(0.5), const(0.3)]],
+        [1.0, 1.0])
+
+
+@pytest.fixture(scope="module")
 def event_free_3d():
     return zero_event_free(random_law(3, [1.3, 0.0, 0.7]))
 
@@ -211,14 +222,9 @@ class TestSolve:
             solve_wiener_hopf(oracle_1d, build_quadrature())
         assert err.value.diagnostics["condition_estimate"] == np.inf
 
-    def test_singular_leading_block_falls_back_to_pivoted_inverse(self):
-        # the first component's block of A is singular to working precision
-        # (condition ~1e19) while A is not: block elimination alone fails
-        grid = build_linlog_grid(h_min=1e-2, h_max=1.0, n_lin=5, n_log=20)
-        const = lambda c: (lambda t: np.full_like(t, c))
-        claw = ConditionalLawMatrix.from_function(
-            grid, [[const(-2.0), const(0.7)], [const(0.5), const(0.3)]],
-            [1.0, 1.0])
+    def test_singular_leading_block_falls_back_to_pivoted_inverse(
+            self, singular_leading_2d):
+        claw = singular_leading_2d
         quad = build_quadrature()
         assert 2 * quad.n_nodes > _BLOCK_LEAF
         est = solve_wiener_hopf(claw, quad)
@@ -229,6 +235,26 @@ class TestSolve:
         a, _ = assemble_system(claw, quad)
         assert est.condition_estimate == pytest.approx(np.linalg.cond(a, 1),
                                                        rel=1e-12)
+        var = np.square(np.linalg.inv(a)) @ gathered_variance(claw, quad)
+        assert_rel_close(est.stderr, np.sqrt(var).T.reshape(est.stderr.shape))
+
+    @pytest.mark.parametrize("law,pivoted", [("random_12d", False),
+                                             ("singular_leading_2d", True)])
+    def test_stderr_flag_changes_no_other_output(self, law, pivoted, request,
+                                                 monkeypatch):
+        # each path reduces the inverse, with or without the variances,
+        # before it frees it
+        claw = request.getfixturevalue(law)
+        quad = build_quadrature()
+        sizes = spy_on_inverse(monkeypatch)
+        full = solve_wiener_hopf(claw, quad)
+        assert (max(sizes) == claw.dimension * quad.n_nodes) == pivoted
+        bare = solve_wiener_hopf(claw, quad, compute_stderr=False)
+        assert full.stderr is not None and bare.stderr is None
+        for name in ("values", "norms", "baseline"):
+            assert getattr(bare, name).tobytes() == getattr(full, name).tobytes()
+        assert bare.residual == full.residual
+        assert bare.condition_estimate == full.condition_estimate
 
     def test_book_sized_law_needs_no_fallback(self, random_12d, monkeypatch):
         sizes = spy_on_inverse(monkeypatch)
@@ -237,16 +263,34 @@ class TestSolve:
         assert sizes and max(sizes) <= _BLOCK_LEAF
 
     def test_book_sized_solve_peak_memory(self, random_12d):
-        # the one n x n buffer, the (Q, D, Q) lookup index and the row-block
-        # scratch, n^2 / 12 each, and pieces of the Schur products: A is
-        # never held whole, and no product is a quarter of the buffer
-        assert solve_peak(random_12d, build_quadrature()) <= 1.25
+        # the one n x n buffer and pieces of the Schur products: A is never
+        # held whole, no product is a quarter of the buffer, and neither the
+        # (Q, D, Q) lookup index nor the residual pass's row-block scratch
+        # (n^2 / 12 each) sits beside the buffer; they did at 1.205 n^2
+        assert solve_peak(random_12d, build_quadrature()) <= 1.15
 
     def test_two_component_solve_peak_memory(self):
-        # at D = 2 the lookup index and the row-block scratch are n^2 / 2
-        # each; together they must not outweigh the whole A they stand in
-        # for: holding A beside its inverse peaked at 3.01 n^2 here
-        assert solve_peak(random_law(2, [1.0, 2.5]), build_quadrature()) <= 3.01
+        # at D = 2 the lookup index is n^2 / 2: the peak is while it is
+        # built, or in the block inverse beside its k = 0 slice (n^2 / 4);
+        # keeping the index and the inverse to the residual pass peaked at
+        # 2.132 n^2 here
+        assert solve_peak(random_law(2, [1.0, 2.5]), build_quadrature()) <= 2.0
+
+    def test_residual_pass_starts_without_the_inverse(self, random_12d,
+                                                      monkeypatch):
+        # left when the pass over A begins: its lookup index (n^2 / 12) and
+        # a few n x D arrays; the n x n inverse is freed
+        quad = build_quadrature()
+        n = random_12d.dimension * quad.n_nodes
+        apply_system, traced = solver._apply_system, []
+
+        def spy(*args):
+            traced.append(tracemalloc.get_traced_memory()[0] / (8 * n * n))
+            return apply_system(*args)
+
+        monkeypatch.setattr(solver, "_apply_system", spy)
+        solve_peak(random_12d, quad)
+        assert len(traced) == 1 and traced[0] < 0.25
 
     def test_law_without_symmetric_form_falls_back(self, event_free_3d,
                                                    monkeypatch):
