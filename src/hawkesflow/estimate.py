@@ -85,14 +85,14 @@ class ConditionalLawMatrix:
         """(D, B) mask per source component: True where data exists."""
         return self.admissible > 0
 
-    def lag_columns(self, lags, zero: str = "average") -> np.ndarray:
-        """Where ``lag_table()[j]`` is read at each signed lag: the
-        ``(D, *lags.shape)`` flat indices, row k for the (k <- j) law of
-        every source j.  Negative lags read the reflected bins, the
-        time-reversal identity g[k,j](-t) = (lam_k / lam_j) g[j,k](t), and
-        lags past ``h_max`` a zero.  At exactly zero, ``zero="average"``
-        reads the blend of both one-sided first bins (suited to a quadrature
-        point sitting on the jump), ``zero="right"`` the right limit."""
+    def lag_index(self, lags, zero: str = "average") -> np.ndarray:
+        """Where every law of ``lag_table()`` is read at each signed lag: an
+        index into its last axis, shaped like ``lags``.  Negative lags read
+        the reflected bins, the time-reversal identity
+        g[k,j](-t) = (lam_k / lam_j) g[j,k](t), and lags past ``h_max`` a
+        zero.  At exactly zero, ``zero="average"`` reads the blend of both
+        one-sided first bins (suited to a quadrature point sitting on the
+        jump), ``zero="right"`` the right limit."""
         if zero not in ("average", "right"):
             raise ValueError(f"unknown lag-zero convention {zero!r}")
         lags = np.asarray(lags, dtype=float)
@@ -101,11 +101,10 @@ class ConditionalLawMatrix:
         idx = np.where(bins < 0, 2 * n, bins + n * (lags < 0))
         # the right limit at zero is the first bin at positive lags
         idx[lags == 0] = 2 * n + 1 if zero == "average" else 0
-        rows = np.arange(self.dimension).reshape((-1,) + (1,) * lags.ndim)
-        return idx + (2 * n + 2) * rows
+        return idx
 
     def lag_table(self, stderr: bool = False) -> np.ndarray:
-        """The ``(D, D, 2 n_bins + 2)`` table ``lag_columns`` indexes; entry
+        """The ``(D, D, 2 n_bins + 2)`` table ``lag_index`` indexes; entry
         [j, k] is the (k <- j) law (its standard error with ``stderr=True``):
         the bins at positive lags, the reflected bins (lam_k / lam_j) g[j,k],
         a zero for lags past ``h_max`` and the average of both first bins,

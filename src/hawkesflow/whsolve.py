@@ -21,24 +21,27 @@ positivity projection is applied.
 The time-reversal identity makes the system similar to a symmetric matrix:
 with s = sqrt(lam_j w_q) per row (j, q), taking lam = 1 for an event-free
 component (its law is zero, so its rows and columns of A are the identity),
-M = diag(s) A diag(s)^-1 is symmetric.  M is written one row block of A
-(source j) at a time into the one n x n buffer of the solve, n = D Q, which
-is then overwritten with M's inverse by recursive symmetric 2x2 block
-elimination, mostly matrix products, and scaled back to A^-1.  Its Schur
-updates form only the lower block triangle of each symmetric product, a
-few hundred rows at a time, so no product needs a temporary of its own
-size.  A is never held whole: a second pass over its row blocks gives
-||A||_1 and the products with A that the residual checks below need.  The
-inverse is freed before that pass, once reduced to what the solve reads of
-it (A^-1 b, A^-1 1, the column sums of |A^-1| and the propagated variances),
-and the (Q, D, Q) law lookup index while M is inverted, so the solve peaks
-at about 1.11 n^2 doubles for D = 12 and 1.06 n^2 for D = 24.
+M = diag(s) A diag(s)^-1 is symmetric.  Every row block of A reads each
+law through one (Q, Q) index of the lags x_q - x_m, made before the one
+n x n buffer of the solve, n = D Q.  M is written one row block of A
+(source j) at a time into that buffer, which is then overwritten with M's
+inverse by recursive symmetric 2x2 block elimination, mostly matrix
+products, and scaled back to A^-1.  Its Schur updates form only the lower
+block triangle of each symmetric product, a few hundred rows at a time, so
+no product needs a temporary of its own size.  A is never held whole: a
+second pass over its row blocks gives ||A||_1 and the products with A that
+the residual checks below need.  The inverse is freed before that pass,
+once reduced to what the solve reads of it (A^-1 b, A^-1 1, the column sums
+of |A^-1| and the propagated variances), so the solve peaks at about
+1.06 n^2 doubles for D = 12 and 1.03 n^2 for D = 24.
 Nothing pivots across blocks, and M can be indefinite (it is on a full
 order book), so a leading block may be near singular while A is not.  The
 block inverse is kept only when its solution's relative residual and that
-of A (A^-1 1) = 1 are both at most 1e-10; otherwise, or when a leaf block
-is exactly singular, A is built whole and inverted again with LAPACK's
-pivoted inverse.
+of A (A^-1 1) = 1 are both at most 1e-10.  Otherwise, or when a leaf block
+is exactly singular, the same steps run once more with a single leaf of n
+rows: M is written again and inverted whole with LAPACK's pivoted inverse,
+which holds a second n x n array beside the buffer (about 2.05 n^2 at
+D = 12).
 """
 
 from __future__ import annotations
@@ -138,24 +141,18 @@ def _at_nodes(claw: ConditionalLawMatrix, nodes: np.ndarray,
     """Right-hand-side layout of the law at the nodes, right limit at node
     0: row (j, q), column i holds g[i, j](x_q), or its standard error.  It
     is F-ordered, as the residual norms sum in memory order."""
-    at = np.take(claw.lag_table(stderr).reshape(claw.dimension, -1),
-                 claw.lag_columns(nodes, zero="right"), axis=1)
+    at = np.take(claw.lag_table(stderr), claw.lag_index(nodes, zero="right"),
+                 axis=2)
     return at.transpose(1, 0, 2).reshape(len(at), -1).T
 
 
-def _row_block_columns(claw: ConditionalLawMatrix,
-                       quad: QuadratureGrid) -> np.ndarray:
-    """The law lookup behind every row block of A, made once per solve:
-    entry [q, k, m] indexes g[k, j](x_q - x_m) in source j's law table."""
-    lag = quad.nodes[:, None] - quad.nodes[None, :]
-    return np.ascontiguousarray(claw.lag_columns(lag).transpose(1, 0, 2))
-
-
 def _row_blocks(claw: ConditionalLawMatrix, quad: QuadratureGrid,
-                columns: np.ndarray, out: np.ndarray):
+                index: np.ndarray, out: np.ndarray):
     """For each source j in turn, write the row block (j, q) of the system
     matrix into ``out`` and yield ``(j, rows)``, the (Q, D Q) rows written.
     ``out`` holds all of A, or one row block that each source overwrites.
+    ``index[q, m]`` is where every law is read at lag x_q - x_m, the one
+    (Q, Q) lookup behind every block.
 
     Row blocks are indexed by (source j, node q), column blocks by the
     unknowns (source k, node m):  A[(j,q),(k,m)] = delta + w_m g[k,j](x_q - x_m),
@@ -164,10 +161,9 @@ def _row_blocks(claw: ConditionalLawMatrix, quad: QuadratureGrid,
     q = quad.n_nodes
     for j, table in enumerate(claw.lag_table()):
         rows = out[j * q:(j + 1) * q] if len(out) > q else out
-        block = rows.reshape(columns.shape)
-        # the indices are in range by construction; mode "raise" would
-        # gather through a buffer the size of the block
-        np.take(table, columns, out=block, mode="clip")
+        block = rows.reshape(q, len(table), q)
+        for k, law in enumerate(table):
+            np.take(law, index, out=block[:, k])
         block *= quad.weights
         rows.reshape(-1)[j * q::rows.shape[1] + 1][:q] += 1.0
         yield j, rows
@@ -227,7 +223,7 @@ def _symmetrizing_scale(lam: np.ndarray, quad: QuadratureGrid) -> np.ndarray:
 
 
 def _apply_system(claw: ConditionalLawMatrix, quad: QuadratureGrid,
-                  columns: np.ndarray, x: np.ndarray):
+                  index: np.ndarray, x: np.ndarray):
     """``(A @ x, ||A||_1)`` from one pass over the row blocks of A, one
     product per block.  The column sums of |A| are added up row after row,
     the order ``np.linalg.norm(A, 1)`` takes."""
@@ -236,7 +232,7 @@ def _apply_system(claw: ConditionalLawMatrix, quad: QuadratureGrid,
     col_sums = np.zeros(len(x))
     # row 0 carries the sums so far into the reduction over each block
     work = np.empty((q + 1, len(x)))
-    for j, rows in _row_blocks(claw, quad, columns, work[1:]):
+    for j, rows in _row_blocks(claw, quad, index, work[1:]):
         ax[j * q:(j + 1) * q] = rows @ x
         np.abs(rows, out=rows)
         work[0] = col_sums
@@ -244,65 +240,50 @@ def _apply_system(claw: ConditionalLawMatrix, quad: QuadratureGrid,
     return ax, col_sums.max()
 
 
-def _reduce_inverse(inv: np.ndarray, var_b: np.ndarray | None):
-    """``(||inv(A)||_1, inv(A)**2 @ var_b)``, squared entry by entry, from
-    ``inv`` = inv(A), which it overwrites; the second is None without var_b."""
-    inv_norm = np.abs(inv, out=inv).sum(axis=0).max()
-    return inv_norm, None if var_b is None else np.square(inv, out=inv) @ var_b
-
-
 def _invert(claw: ConditionalLawMatrix, quad: QuadratureGrid, b: np.ndarray,
             var_b: np.ndarray | None):
     """``(inv(A) @ b, inv(A)**2 @ var_b or None, relative residual of that
     solution, exact condition number)``, the condition infinite and the rest
-    None when A is exactly singular; block inverse or pivoted fallback as
-    the module docstring sets out.  inv(A) is freed once reduced to these,
-    before the residual pass, and the lookup index once M is written: later
-    passes re-form it from its k = 0 slice, as row k of a law table starts
-    k (2 n_bins + 2) entries on."""
+    None when A is exactly singular.  One pass per leaf size, as the module
+    docstring sets out: block elimination down to ``_BLOCK_LEAF`` rows, then
+    one LAPACK inverse of all of M if that pass fails; with at most
+    ``_BLOCK_LEAF`` unknowns the first pass is already that.  The law lookup
+    index is made before the n x n buffer, and inv(A) is freed once reduced
+    to these values, before the residual pass."""
     q = quad.n_nodes
     n = claw.dimension * q
-    columns = _row_block_columns(claw, quad)
-    columns0 = columns[:, :1].copy()
-    offsets = (2 * claw.grid.n_bins + 2) * np.arange(claw.dimension)[:, None]
+    index = claw.lag_index(quad.nodes[:, None] - quad.nodes[None, :])
     s = _symmetrizing_scale(claw.lam, quad)
-    inv = np.empty((n, n))
-    # M one row block at a time, each entry rounded as in (s_r A_rc) / s_c
-    for j, rows in _row_blocks(claw, quad, columns, inv):
-        rows *= s[j * q:(j + 1) * q, None]
-        rows /= s
-    del columns, rows  # rows is a view of inv
-    try:
-        _block_inverse(inv)
-    except np.linalg.LinAlgError:
-        del inv
-    else:
+    ones = np.ones(n)
+    for leaf in (_BLOCK_LEAF, n) if n > _BLOCK_LEAF else (n,):
+        inv = np.empty((n, n))
+        # M one row block at a time, each entry rounded as in (s_r A_rc) / s_c
+        for j, rows in _row_blocks(claw, quad, index, inv):
+            rows *= s[j * q:(j + 1) * q, None]
+            rows /= s
+        del rows  # a view of inv
+        try:
+            _block_inverse(inv, leaf)
+        except np.linalg.LinAlgError:
+            del inv
+            if leaf == n:
+                return None, None, None, np.inf
+            continue
         inv *= s
         inv /= s[:, None]
         sol = inv @ b
-        ones = np.ones(n)
         x = np.column_stack([sol, inv @ ones])
-        inv_norm, var = _reduce_inverse(inv, var_b)
+        # the column sums of |inv(A)|, then inv(A)**2 @ var_b, in place
+        inv_norm = np.abs(inv, out=inv).sum(axis=0).max()
+        var = None if var_b is None else np.square(inv, out=inv) @ var_b
         del inv
-        ax, a_norm = _apply_system(claw, quad, columns0 + offsets, x)
+        ax, a_norm = _apply_system(claw, quad, index, x)
         residual = _relative_residual(ax[:, :-1], b)
-        # written so that a NaN residual takes the fallback too
-        if (residual <= _BLOCK_RESIDUAL_LIMIT and
+        # written so that a NaN residual takes the next pass too
+        if leaf == n or (
+                residual <= _BLOCK_RESIDUAL_LIMIT and
                 _relative_residual(ax[:, -1], ones) <= _BLOCK_RESIDUAL_LIMIT):
             return sol, var, residual, a_norm * inv_norm
-    a = np.empty((n, n))
-    for _ in _row_blocks(claw, quad, columns0 + offsets, a):
-        pass
-    del _  # its rows are a view of a
-    try:
-        inv = np.linalg.inv(a)
-    except np.linalg.LinAlgError:
-        return None, None, None, np.inf
-    sol = inv @ b
-    residual, a_norm = _relative_residual(a @ sol, b), np.linalg.norm(a, 1)
-    del a
-    inv_norm, var = _reduce_inverse(inv, var_b)
-    return sol, var, residual, a_norm * inv_norm
 
 
 def solve_wiener_hopf(claw: ConditionalLawMatrix,

@@ -299,8 +299,8 @@ def stderr_at_lag(claw, i: int, j: int, lags) -> np.ndarray:
 
 
 def lag_tables(claw, stderr: bool = False):
-    """For each source j in turn, the ``(D, 2 n_bins + 2)`` table that
-    ``lag_columns`` indexes, row k for the (k <- j) law.  The former
+    """For each source j in turn, the ``(D, 2 n_bins + 2)`` table, row k
+    for the (k <- j) law, whose rows ``lag_index`` indexes.  The former
     ``ConditionalLawMatrix.lag_tables``, one source at a time."""
     table = claw.stderr if stderr else claw.values
     d, n = claw.dimension, claw.grid.n_bins

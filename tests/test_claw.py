@@ -36,7 +36,7 @@ def stream_of(times_lists, duration, session_id="s"):
 
 def law_at(claw, i, j, lags, zero="average", stderr=False):
     """The (i <- j) law at ``lags``: the index, then the table."""
-    return np.take(claw.lag_table(stderr)[j], claw.lag_columns(lags, zero))[i]
+    return np.take(claw.lag_table(stderr)[j, i], claw.lag_index(lags, zero))
 
 
 def bin_midpoints(grid):
@@ -279,12 +279,13 @@ class TestLagLookup:
         lags = np.concatenate([rng.uniform(-1.5, 1.5, 199), [0.0, 1.0, -1.0],
                                grid.edges[:5], -grid.edges[:5]]).reshape(4, -1)
         values, errors = claw.lag_table(), claw.lag_table(stderr=True)
-        average, right_limit = (claw.lag_columns(lags),
-                                claw.lag_columns(lags, zero="right"))
+        average, right_limit = (claw.lag_index(lags),
+                                claw.lag_index(lags, zero="right"))
+        assert average.shape == right_limit.shape == lags.shape
         for j in range(d):
-            avg = np.take(values[j], average)
-            right = np.take(values[j], right_limit)
-            err = np.take(errors[j], right_limit)
+            avg = np.take(values[j], average, axis=1)
+            right = np.take(values[j], right_limit, axis=1)
+            err = np.take(errors[j], right_limit, axis=1)
             assert avg.shape == right.shape == err.shape == (d,) + lags.shape
             for i in range(d):
                 assert avg[i].tobytes() == value_at_lag(claw, i, j, lags).tobytes()

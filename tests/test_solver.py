@@ -27,7 +27,6 @@ from hawkesflow.whsolve import (
     _BLOCK_LEAF,
     _at_nodes,
     _block_inverse,
-    _row_block_columns,
     _row_blocks,
     _symmetrizing_scale,
 )
@@ -75,13 +74,17 @@ def zero_event_free(claw):
     return dataclasses.replace(claw, values=values, stderr=stderr)
 
 
+def lag_index(claw, quad):
+    """The solver's law lookup index of the lags x_q - x_m."""
+    return claw.lag_index(quad.nodes[:, None] - quad.nodes[None, :])
+
+
 def stacked_system(claw, quad):
     """A stacked from the solver's row blocks, each written into the one
     block buffer that every source overwrites in turn, and b."""
-    columns = _row_block_columns(claw, quad)
     block = np.empty((quad.n_nodes, claw.dimension * quad.n_nodes))
     a = np.concatenate([rows.copy() for _, rows in
-                        _row_blocks(claw, quad, columns, block)])
+                        _row_blocks(claw, quad, lag_index(claw, quad), block)])
     return a, _at_nodes(claw, quad.nodes)
 
 
@@ -222,6 +225,30 @@ class TestSolve:
             solve_wiener_hopf(oracle_1d, build_quadrature())
         assert err.value.diagnostics["condition_estimate"] == np.inf
 
+    def test_singular_leaf_block_falls_back_to_pivoted_inverse(
+            self, random_3d, monkeypatch):
+        # LAPACK reports every leaf block singular, the whole system is not:
+        # the pivoted pass inverts all of M
+        inv = np.linalg.inv
+
+        def singular_leaves(a):
+            if len(a) <= _BLOCK_LEAF:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", singular_leaves)
+        claw = random_3d
+        quad = build_quadrature()
+        est = solve_wiener_hopf(claw, quad)
+        monkeypatch.undo()
+        ref = lu_reference_solve(claw, quad)
+        assert_rel_close(est.values, ref["values"])
+        assert_rel_close(est.norms, ref["norms"])
+        assert_rel_close(est.stderr, ref["stderr"])
+        a, _ = assemble_system(claw, quad)
+        assert est.condition_estimate == pytest.approx(np.linalg.cond(a, 1),
+                                                       rel=1e-12)
+
     def test_singular_leading_block_falls_back_to_pivoted_inverse(
             self, singular_leading_2d):
         claw = singular_leading_2d
@@ -263,23 +290,35 @@ class TestSolve:
         assert sizes and max(sizes) <= _BLOCK_LEAF
 
     def test_book_sized_solve_peak_memory(self, random_12d):
-        # the one n x n buffer and pieces of the Schur products: A is never
-        # held whole, no product is a quarter of the buffer, and neither the
-        # (Q, D, Q) lookup index nor the residual pass's row-block scratch
-        # (n^2 / 12 each) sits beside the buffer; they did at 1.205 n^2
-        assert solve_peak(random_12d, build_quadrature()) <= 1.15
+        # the one n x n buffer, pieces of the Schur products and the (Q, Q)
+        # lookup index (n^2 / 144): A is never held whole, no product is a
+        # quarter of the buffer, and the residual pass's row-block scratch
+        # (n^2 / 12) never sits beside the buffer; a (Q, D, Q) index
+        # rebuilt from its k = 0 slice peaked at 1.114 n^2
+        assert solve_peak(random_12d, build_quadrature()) <= 1.08
 
     def test_two_component_solve_peak_memory(self):
-        # at D = 2 the lookup index is n^2 / 2: the peak is while it is
-        # built, or in the block inverse beside its k = 0 slice (n^2 / 4);
-        # keeping the index and the inverse to the residual pass peaked at
-        # 2.132 n^2 here
+        # at D = 2 a (Q, Q) array is n^2 / 4: the peak is while the lookup
+        # index is made from a few lag-sized temporaries, before the buffer
+        # (made after it, the peak was 2.83 n^2); writing M beside the index
+        # peaks at about 1.53 n^2
         assert solve_peak(random_law(2, [1.0, 2.5]), build_quadrature()) <= 2.0
+
+    def test_forced_fallback_peak_memory(self, random_12d, monkeypatch):
+        # the pivoted pass writes M again into a fresh buffer once the block
+        # pass has freed its own, and LAPACK's inverse of it is the one other
+        # n x n array; building A whole beside that inverse peaked at
+        # 3.05 n^2
+        monkeypatch.setattr(solver, "_BLOCK_RESIDUAL_LIMIT", -1.0)
+        sizes = spy_on_inverse(monkeypatch)
+        quad = build_quadrature()
+        assert solve_peak(random_12d, quad) <= 2.25
+        assert sizes[-1] == random_12d.dimension * quad.n_nodes
 
     def test_residual_pass_starts_without_the_inverse(self, random_12d,
                                                       monkeypatch):
-        # left when the pass over A begins: its lookup index (n^2 / 12) and
-        # a few n x D arrays; the n x n inverse is freed
+        # left when the pass over A begins: the (Q, Q) lookup index
+        # (n^2 / 144) and a few n x D arrays; the n x n inverse is freed
         quad = build_quadrature()
         n = random_12d.dimension * quad.n_nodes
         apply_system, traced = solver._apply_system, []
@@ -290,7 +329,7 @@ class TestSolve:
 
         monkeypatch.setattr(solver, "_apply_system", spy)
         solve_peak(random_12d, quad)
-        assert len(traced) == 1 and traced[0] < 0.25
+        assert len(traced) == 1 and traced[0] < 0.08
 
     def test_law_without_symmetric_form_falls_back(self, event_free_3d,
                                                    monkeypatch):
@@ -359,7 +398,7 @@ class TestAssembly:
         assert np.array_equal(a, a_ref)
         assert np.array_equal(b, b_ref)
         whole = np.empty_like(a)
-        for _ in _row_blocks(claw, quad, _row_block_columns(claw, quad), whole):
+        for _ in _row_blocks(claw, quad, lag_index(claw, quad), whole):
             pass
         assert np.array_equal(whole, a_ref)
 
